@@ -12,6 +12,7 @@ count.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
@@ -138,15 +139,8 @@ def cocluster(
             outer_converged = True
             break
     # final couplings against the final prototype
-    final = CootSolution(
-        sample_coupling=solution.sample_coupling,
-        feature_coupling=solution.feature_coupling,
-        cost=coot_objective(X, summary, solution.sample_coupling.plan,
-                            solution.feature_coupling.plan, loss),
-        objective_trace=solution.objective_trace,
-        iterations=solution.iterations,
-        converged=solution.converged,
-    )
+    final = dataclasses.replace(solution, cost=coot_objective(
+        X, summary, solution.sample_coupling.plan, solution.feature_coupling.plan, loss))
     return CoClustering(
         row_labels=np.argmax(final.sample_coupling.plan, axis=1),
         col_labels=np.argmax(final.feature_coupling.plan, axis=1),

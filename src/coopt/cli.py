@@ -150,8 +150,29 @@ def _echo_config(args) -> dict:
     }
 
 
-def _finish(args, report: RunReport, converged: bool) -> int:
+def _finish(args, clock: Stopwatch, cost, iterations: int, converged: bool,
+            files=(), couplings=(), extra=None) -> int:
+    """Write the artifacts and ``report.json`` into ``--out``; return the exit code.
+
+    ``files`` and ``couplings`` are ``(stem, array)`` pairs written as
+    ``<stem>.csv`` in that order: 1-D arrays as labels, 2-D as matrices.
+    Each coupling also gets a ``<stem>.pgm`` under ``--heatmaps``.
+    """
     args.out.mkdir(parents=True, exist_ok=True)
+    outputs = []
+    entries = [(stem, data, False) for stem, data in files]
+    entries += [(stem, plan, getattr(args, "heatmaps", False)) for stem, plan in couplings]
+    for stem, data, heatmap in entries:
+        path = args.out / f"{stem}.csv"
+        writer = fileio.write_labels_csv if np.ndim(data) == 1 else fileio.write_matrix_csv
+        writer(path, data)
+        outputs.append(str(path))
+        if heatmap:
+            pgm_path = args.out / f"{stem}.pgm"
+            fileio.export_heatmap(data, pgm_path)
+            outputs.append(str(pgm_path))
+    report = RunReport(args.command, args.seed, cost, iterations, converged, clock.millis(),
+                       outputs, _echo_config(args), extra or {})
     report.write(args.out / "report.json")
     print(report.to_json(), end="")
     if converged or getattr(args, "allow_maxiter", False):
@@ -159,16 +180,8 @@ def _finish(args, report: RunReport, converged: bool) -> int:
     return EXIT_NOT_CONVERGED
 
 
-def _write_coupling_artifacts(args, outputs, couplings):
-    args.out.mkdir(parents=True, exist_ok=True)
-    for stem, plan in couplings:
-        csv_path = args.out / f"{stem}.csv"
-        fileio.write_matrix_csv(csv_path, plan)
-        outputs.append(str(csv_path))
-        if getattr(args, "heatmaps", False):
-            pgm_path = args.out / f"{stem}.pgm"
-            fileio.export_heatmap(plan, pgm_path)
-            outputs.append(str(pgm_path))
+def _pair(sol):
+    return [("pi_s", sol.sample_coupling.plan), ("pi_v", sol.feature_coupling.plan)]
 
 
 def cmd_coot(args) -> int:
@@ -188,12 +201,7 @@ def cmd_coot(args) -> int:
         tol=args.tol,
     )
     sol = solve_coot(problem, restarts=args.restarts, seed=args.seed, jobs=args.jobs)
-    outputs = []
-    _write_coupling_artifacts(args, outputs, [
-        ("pi_s", sol.sample_coupling.plan), ("pi_v", sol.feature_coupling.plan)])
-    report = RunReport("coot", args.seed, sol.cost, sol.iterations, sol.converged,
-                       clock.millis(), outputs, _echo_config(args))
-    return _finish(args, report, sol.converged)
+    return _finish(args, clock, sol.cost, sol.iterations, sol.converged, couplings=_pair(sol))
 
 
 def cmd_gw(args) -> int:
@@ -207,11 +215,8 @@ def cmd_gw(args) -> int:
     sol = solve_gw_dc(C, C2, loss=LOSSES[args.loss], eps=args.eps,
                       max_iter=args.max_iter, tol=args.tol,
                       restarts=args.restarts, seed=args.seed)
-    outputs = []
-    _write_coupling_artifacts(args, outputs, [("pi", sol.coupling.plan)])
-    report = RunReport("gw", args.seed, sol.cost, sol.iterations, sol.converged,
-                       clock.millis(), outputs, _echo_config(args))
-    return _finish(args, report, sol.converged)
+    return _finish(args, clock, sol.cost, sol.iterations, sol.converged,
+                   couplings=[("pi", sol.coupling.plan)])
 
 
 def cmd_cocluster(args) -> int:
@@ -221,30 +226,19 @@ def cmd_cocluster(args) -> int:
         X, args.g, args.m, eps1=args.eps1, eps2=args.eps2,
         outer_iter=args.outer_iter, seed=args.seed, inner_iter=args.inner_iter,
     )
-    args.out.mkdir(parents=True, exist_ok=True)
-    outputs = []
-    for name, data in (("row_labels", clustering.row_labels),
-                       ("col_labels", clustering.col_labels)):
-        path = args.out / f"{name}.csv"
-        fileio.write_labels_csv(path, data)
-        outputs.append(str(path))
-    xc_path = args.out / "xc.csv"
-    fileio.write_matrix_csv(xc_path, clustering.summary)
-    outputs.append(str(xc_path))
-    _write_coupling_artifacts(args, outputs, [
-        ("pi_s", clustering.solution.sample_coupling.plan),
-        ("pi_v", clustering.solution.feature_coupling.plan)])
     extra = {}
     if args.truth is not None:
         true_rows = fileio.read_labels_csv(args.truth / "rows.csv")
         true_cols = fileio.read_labels_csv(args.truth / "cols.csv")
         extra["cce"] = apps.cce(clustering.row_labels, true_rows,
                                 clustering.col_labels, true_cols)
-    converged = clustering.converged and clustering.solution.converged
-    report = RunReport("cocluster", args.seed, clustering.solution.cost,
-                       clustering.solution.iterations, converged, clock.millis(),
-                       outputs, _echo_config(args), extra)
-    return _finish(args, report, converged)
+    sol = clustering.solution
+    return _finish(args, clock, sol.cost, len(clustering.objective_trace),
+                   clustering.converged and sol.converged,
+                   files=[("row_labels", clustering.row_labels),
+                          ("col_labels", clustering.col_labels),
+                          ("xc", clustering.summary)],
+                   couplings=_pair(sol), extra=extra)
 
 
 def cmd_hda(args) -> int:
@@ -265,21 +259,10 @@ def cmd_hda(args) -> int:
         eps1=args.eps1, eps2=args.eps2, restarts=args.restarts,
         seed=args.seed, jobs=args.jobs, penalty=penalty,
     )
-    args.out.mkdir(parents=True, exist_ok=True)
-    outputs = []
-    labels_path = args.out / "labels.csv"
-    fileio.write_labels_csv(labels_path, result.labels)
-    outputs.append(str(labels_path))
-    scores_path = args.out / "scores.csv"
-    fileio.write_matrix_csv(scores_path, result.scores)
-    outputs.append(str(scores_path))
-    _write_coupling_artifacts(args, outputs, [
-        ("pi_s", result.solution.sample_coupling.plan),
-        ("pi_v", result.solution.feature_coupling.plan)])
-    report = RunReport("hda", args.seed, result.solution.cost,
-                       result.solution.iterations, result.solution.converged,
-                       clock.millis(), outputs, _echo_config(args))
-    return _finish(args, report, result.solution.converged)
+    sol = result.solution
+    return _finish(args, clock, sol.cost, sol.iterations, sol.converged,
+                   files=[("labels", result.labels), ("scores", result.scores)],
+                   couplings=_pair(sol))
 
 
 def cmd_election(args) -> int:
@@ -288,12 +271,7 @@ def cmd_election(args) -> int:
     E2 = fileio.read_matrix_csv(args.y)
     distance, sol = apps.election_solution(E, E2, restarts=args.restarts,
                                            seed=args.seed, jobs=args.jobs)
-    outputs = []
-    _write_coupling_artifacts(args, outputs, [
-        ("pi_s", sol.sample_coupling.plan), ("pi_v", sol.feature_coupling.plan)])
-    report = RunReport("election", args.seed, distance, sol.iterations,
-                       sol.converged, clock.millis(), outputs, _echo_config(args))
-    return _finish(args, report, sol.converged)
+    return _finish(args, clock, distance, sol.iterations, sol.converged, couplings=_pair(sol))
 
 
 def cmd_gen(args) -> int:
@@ -310,17 +288,8 @@ def cmd_gen(args) -> int:
         config = apps.BlockConfig(args.n, args.d, args.g, args.m,
                                   make(args.g), make(args.m), args.separation)
     X, rows, cols = apps.generate_blocks(config, args.seed)
-    args.out.mkdir(parents=True, exist_ok=True)
-    outputs = []
-    for name, writer, data in (("X.csv", fileio.write_matrix_csv, X),
-                               ("rows.csv", fileio.write_labels_csv, rows),
-                               ("cols.csv", fileio.write_labels_csv, cols)):
-        path = args.out / name
-        writer(path, data)
-        outputs.append(str(path))
-    report = RunReport("gen", args.seed, None, 0, True, clock.millis(),
-                       outputs, _echo_config(args))
-    return _finish(args, report, True)
+    return _finish(args, clock, None, 0, True,
+                   files=[("X", X), ("rows", rows), ("cols", cols)])
 
 
 _COMMANDS = {

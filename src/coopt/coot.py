@@ -4,7 +4,9 @@ The solver alternates two exact (or entropic) transport subproblems: update
 the feature coupling against the cost contracted with the current sample
 coupling, then update the sample coupling against the cost contracted with
 the fresh feature coupling. With exact inner solvers each half-step can only
-decrease the objective, so the trace is monotone.
+decrease the objective, so the trace is monotone. Gromov-Wasserstein
+(:mod:`coopt.gw`) runs on the same driver as the tied case: one coupling on
+both slots, so only the sample half-step is solved.
 
 The problem is a non-convex bilinear program; alternation converges to a
 partial optimum that depends on the starting point. Restarts perturb the
@@ -175,7 +177,8 @@ def _masked(cost: np.ndarray, problem: CootProblem) -> np.ndarray:
 
 def _solve_single(problem: CootProblem,
                   init: Optional[Tuple[np.ndarray, np.ndarray]],
-                  restart_index: int = 0) -> CootSolution:
+                  restart_index: int = 0, tied: bool = False) -> CootSolution:
+    # tied: one coupling on both slots (GW); the feature half-step is skipped
     X, X2, loss = problem.X, problem.X2, problem.loss
     w, wp, v, vp = problem.w, problem.wp, problem.v, problem.vp
     if init is None:
@@ -184,18 +187,23 @@ def _solve_single(problem: CootProblem,
     else:
         ps = np.array(init[0], dtype=np.float64)
         pv = np.array(init[1], dtype=np.float64)
+    if tied:
+        pv = ps
     trace = [coot_objective(X, X2, ps, pv, loss)]
     warm_v = warm_s = None
     iterations = 0
     converged = False
     for _ in range(problem.max_iter):
         pv_prev = pv
-        feat_cost = contract(X, X2, ps, loss, Side.FEATURE)
-        res_v = _inner_ot(v, vp, feat_cost, problem.eps_features, problem, warm_v)
-        pv, warm_v = res_v.coupling.plan, res_v.potentials
+        if not tied:
+            feat_cost = contract(X, X2, ps, loss, Side.FEATURE)
+            res_v = _inner_ot(v, vp, feat_cost, problem.eps_features, problem, warm_v)
+            pv, warm_v = res_v.coupling.plan, res_v.potentials
         samp_cost = _masked(contract(X, X2, pv, loss, Side.SAMPLE), problem)
         res_s = _inner_ot(w, wp, samp_cost, problem.eps_samples, problem, warm_s)
         ps, warm_s = res_s.coupling.plan, res_s.potentials
+        if tied:
+            pv = ps
         trace.append(coot_objective(X, X2, ps, pv, loss))
         iterations += 1
         if float(np.linalg.norm(pv - pv_prev)) <= problem.tol:
@@ -212,6 +220,32 @@ def _solve_single(problem: CootProblem,
     )
 
 
+def _best_restart(problem: CootProblem, starts: list, restarts: int, seed: int,
+                  jobs: int = 1, tied: bool = False) -> CootSolution:
+    """Run the fixed ``starts``, then seeded draws ``(seed, r)`` for
+    ``r = 1, 2, ...`` up to ``restarts`` starts; lowest cost wins, ties to the
+    lowest restart index, independent of ``jobs``."""
+    if restarts < 1:
+        raise DomainError("restarts must be >= 1")
+    starts = list(starts)
+    r = 1
+    while len(starts) < restarts:
+        rng = np.random.default_rng([seed, r])
+        ps = random_coupling(problem.w, problem.wp, rng)
+        starts.append((ps, ps if tied else random_coupling(problem.v, problem.vp, rng)))
+        r += 1
+
+    def run(indexed):
+        return _solve_single(problem, indexed[1], indexed[0], tied)
+
+    if jobs > 1 and len(starts) > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            solutions = list(pool.map(run, enumerate(starts)))
+    else:
+        solutions = [run(indexed) for indexed in enumerate(starts)]
+    return min(solutions, key=lambda s: (s.cost, s.restart_index))
+
+
 def solve_coot(
     problem: CootProblem,
     restarts: int = 1,
@@ -226,26 +260,7 @@ def solve_coot(
     ``(seed, r)``. The returned solution is the lowest-cost restart, ties
     broken by lowest restart index, independent of ``jobs``.
     """
-    if restarts < 1:
-        raise DomainError("restarts must be >= 1")
-    inits: List[Optional[Tuple[np.ndarray, np.ndarray]]] = [init]
-    for r in range(1, restarts):
-        rng = np.random.default_rng([seed, r])
-        inits.append(
-            (
-                random_coupling(problem.w, problem.wp, rng),
-                random_coupling(problem.v, problem.vp, rng),
-            )
-        )
-    if jobs > 1 and len(inits) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            solutions = list(pool.map(
-                lambda pair: _solve_single(problem, pair[1], pair[0]),
-                enumerate(inits),
-            ))
-    else:
-        solutions = [_solve_single(problem, ini, r) for r, ini in enumerate(inits)]
-    return min(solutions, key=lambda s: (s.cost, s.restart_index))
+    return _best_restart(problem, [init], restarts, seed, jobs)
 
 
 @dataclass(frozen=True)

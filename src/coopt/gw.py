@@ -11,7 +11,9 @@ minimizes a linear majorization each step (a difference-of-convex scheme)
 and the objective can only decrease. The same iteration coincides with the
 conditional-gradient update whose exact line search is always a full step:
 the gradient is twice the contracted cost, and scaling a transport cost does
-not change its minimizer.
+not change its minimizer. The iteration is the tied case of the alternating
+driver and restart routine in :mod:`coopt.coot`; this module only builds the
+problem, picks the starts and wraps the result.
 
 For whitened data compared through cosine-similarity matrices, the optimum
 here also agrees with transport formulations that optimize a linear feature
@@ -23,22 +25,19 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
-from .core import (
-    Coupling,
-    DimensionError,
-    DomainError,
-    Loss,
-    SQUARED_EUCLIDEAN,
-    as_histogram,
-    as_matrix,
-    uniform_histogram,
+from .core import Coupling, DimensionError, DomainError, Loss, SQUARED_EUCLIDEAN, as_matrix
+from .coot import (
+    ORACLE_MAX_SIZE,
+    CootProblem,
+    _best_restart,
+    _scale_to_marginals,
+    bap_oracle,
 )
-from .coot import ORACLE_MAX_SIZE, _scale_to_marginals, bap_oracle, random_coupling
-from .ot import exact_ot, sinkhorn
+from .ot import exact_ot, sinkhorn  # noqa: F401 -- wrapped by name in bench/spans.py
 from .tensorcost import Side, contract, coot_objective
 
 __all__ = [
@@ -135,30 +134,11 @@ def _identity_biased_init(w: np.ndarray, wp: np.ndarray) -> np.ndarray:
     return _scale_to_marginals(np.eye(n) * n + 1.0, w, wp)
 
 
-def _dc_single(C, C2, w, wp, loss, eps, max_iter, tol, init, sinkhorn_max_iter,
-               restart_index) -> GwSolution:
-    pi = np.outer(w, wp) if init is None else np.array(init, dtype=np.float64)
-    trace = [gw_objective(C, C2, pi, loss)]
-    warm = None
-    iterations = 0
-    converged = False
-    for _ in range(max_iter):
-        pi_prev = pi
-        cost = contract(C, C2, pi, loss, Side.SAMPLE)
-        if eps > 0:
-            res = sinkhorn(w, wp, cost, eps, max_iter=sinkhorn_max_iter,
-                           init_potentials=warm)
-            warm = res.potentials
-        else:
-            res = exact_ot(w, wp, cost)
-        pi = res.coupling.plan
-        trace.append(gw_objective(C, C2, pi, loss))
-        iterations += 1
-        if float(np.linalg.norm(pi - pi_prev)) <= tol:
-            converged = True
-            break
-    return GwSolution(Coupling(pi, w, wp), trace[-1], trace, iterations, converged,
-                      restart_index)
+def _dc_single(problem: CootProblem, starts: list, restarts: int,
+               seed: int) -> GwSolution:
+    sol = _best_restart(problem, starts, restarts, seed, tied=True)
+    return GwSolution(sol.sample_coupling, sol.cost, sol.objective_trace,
+                      sol.iterations, sol.converged, sol.restart_index)
 
 
 def solve_gw_dc(
@@ -186,28 +166,13 @@ def solve_gw_dc(
     C2 = _sim_array(C2)
     if np.max(np.abs(C - C.T)) > 1e-12 or np.max(np.abs(C2 - C2.T)) > 1e-12:
         raise DomainError("similarity matrices must be symmetric")
-    if eps < 0:
-        raise DomainError("eps must be >= 0")
-    n, n2 = C.shape[0], C2.shape[0]
-    w = uniform_histogram(n) if w is None else as_histogram(w, "w")
-    wp = uniform_histogram(n2) if wp is None else as_histogram(wp, "w'")
-    if (w.size, wp.size) != (n, n2):
-        raise DimensionError("weights do not match similarity matrix sizes")
-    inits: List[Optional[np.ndarray]] = [None]
-    if n == n2 and restarts > 1:
-        inits.append(_identity_biased_init(w, wp))
-    r = 1
-    while len(inits) < restarts:
-        rng = np.random.default_rng([seed, r])
-        inits.append(random_coupling(w, wp, rng))
-        r += 1
-    best: Optional[GwSolution] = None
-    for idx, init in enumerate(inits):
-        sol = _dc_single(C, C2, w, wp, loss, eps, max_iter, tol, init,
-                         sinkhorn_max_iter, idx)
-        if best is None or sol.cost < best.cost:
-            best = sol
-    return best
+    problem = CootProblem(C, C2, w, wp, w, wp, loss, eps_samples=eps, max_iter=max_iter,
+                          tol=tol, sinkhorn_max_iter=sinkhorn_max_iter)
+    starts = [None]
+    if C.shape[0] == C2.shape[0] and restarts > 1:
+        plan = _identity_biased_init(problem.w, problem.wp)
+        starts.append((plan, plan))
+    return _dc_single(problem, starts, restarts, seed)
 
 
 def gw_permutation_oracle(C, C2, loss: Loss = SQUARED_EUCLIDEAN) -> float:

@@ -1,11 +1,13 @@
 """End-to-end tests of the command line: artifacts, reports, exit codes."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from coopt import CootProblem, export_heatmap, solve_coot, validate_coupling
+from coopt.apps import BlockConfig, cocluster, generate_blocks
 from coopt.cli import main
 from coopt.fileio import (
     read_labels_csv,
@@ -291,3 +293,59 @@ def test_coot_kl_loss_on_positive_data(tmp_path):
     assert run(["coot", "--x", x, "--y", y, "--loss", "kl", "--seed", "1",
                 "--out", out]) == 0
     assert read_report(out)["cost"] >= -1e-12
+
+
+def test_gw_zero_restarts_is_a_domain_error(tmp_path):
+    p = tmp_path / "p.csv"
+    write_matrix_csv(p, np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]]))
+    assert run(["gw", "--x", p, "--y", p, "--points", "--restarts", "0",
+                "--out", tmp_path / "gw0"]) == 3
+
+
+def test_cocluster_reports_outer_rounds_as_iterations(tmp_path):
+    config = BlockConfig(30, 20, 2, 2, (0.5, 0.5), (0.5, 0.5), 4.0)
+    X, _, _ = generate_blocks(config, 5)
+    x = tmp_path / "X.csv"
+    write_matrix_csv(x, X)
+    out = tmp_path / "cc"
+    code = run(["cocluster", "--x", x, "-g", "2", "-m", "2", "--outer-iter", "2",
+                "--seed", "4", "--out", out, "--allow-maxiter"])
+    assert code == 0
+    clustering = cocluster(read_matrix_csv(x), 2, 2, outer_iter=2, seed=4)
+    iterations = read_report(out)["iterations"]
+    assert iterations <= 2
+    assert iterations == len(clustering.objective_trace)
+
+
+def _output_names(out):
+    return [Path(p).relative_to(out).as_posix() for p in read_report(out)["outputs"]]
+
+
+@pytest.mark.parametrize("heatmaps", [False, True])
+def test_report_outputs_name_every_artifact_in_order(tmp_path, small_pair, heatmaps):
+    x, y = small_pair
+    e = tmp_path / "e.csv"
+    write_matrix_csv(e, np.array([[1.0, 2.0, 3.0], [3.0, 1.0, 2.0]]))
+    ys = tmp_path / "ys.csv"
+    write_labels_csv(ys, np.array([0, 1, 0, 1]))
+    data = tmp_path / "data"
+    flag = ["--heatmaps"] if heatmaps else []
+    plan = (lambda stem: [f"{stem}.csv", f"{stem}.pgm"]) if heatmaps else (
+        lambda stem: [f"{stem}.csv"])
+    cases = [
+        (["coot", "--x", x, "--y", y], plan("pi_s") + plan("pi_v")),
+        (["gw", "--x", x, "--y", x, "--points"], plan("pi")),
+        (["cocluster", "--x", x, "-g", "2", "-m", "2", "--outer-iter", "2"],
+         ["row_labels.csv", "col_labels.csv", "xc.csv"] + plan("pi_s") + plan("pi_v")),
+        (["hda", "--xs", x, "--xt", x, "--ys", ys],
+         ["labels.csv", "scores.csv"] + plan("pi_s") + plan("pi_v")),
+        (["election", "--x", e, "--y", e], plan("pi_s") + plan("pi_v")),
+    ]
+    for i, (argv, names) in enumerate(cases):
+        out = tmp_path / f"out{i}"
+        assert run(argv + ["--seed", "1", "--out", out, "--allow-maxiter"] + flag) == 0
+        assert _output_names(out) == names, argv[0]
+    if not heatmaps:  # gen writes data, not couplings, and has no --heatmaps
+        assert run(["gen", "--n", "6", "--d", "4", "-g", "2", "-m", "2", "--seed", "1",
+                    "--out", data]) == 0
+        assert _output_names(data) == ["X.csv", "rows.csv", "cols.csv"]

@@ -185,3 +185,9 @@ def test_entropic_dc_runs_and_stays_feasible():
     C2 = sqeuclid_matrix(rng.random((4, 2)))
     sol = solve_gw_dc(C, C2, eps=0.1, restarts=3, seed=1)
     assert sol.coupling.feasible(1e-6)
+
+
+def test_dc_rejects_zero_restarts():
+    C = sqeuclid_matrix([[0.0], [1.0], [3.0]])
+    with pytest.raises(DomainError):
+        solve_gw_dc(C, C, restarts=0)
