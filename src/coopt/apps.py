@@ -13,7 +13,6 @@ count.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -93,10 +92,7 @@ def cocluster(
     eps2: float = 0.1,
     outer_iter: int = 30,
     seed: int = 0,
-    loss: Loss = SQUARED_EUCLIDEAN,
     inner_iter: int = 20,
-    sinkhorn_max_iter: int = 500,
-    summary_tol: float = 1e-8,
 ) -> CoClustering:
     """Joint row/column clustering by alternating coupling solves and
     prototype refits.
@@ -105,9 +101,10 @@ def cocluster(
     data's mean and spread. Each round re-solves the transport pair warm
     started from the previous round's couplings (which is what makes the
     outer objective trace non-increasing with exact inner solvers), then
-    refits the prototype; the loop stops when the prototype moves less than
-    ``summary_tol`` or after ``outer_iter`` rounds. All four weight vectors
-    are uniform.
+    refits the prototype; the loop stops when no prototype entry moves by
+    more than 1e-8 or after ``outer_iter`` rounds. The loss is squared
+    Euclidean (the refit is its minimizer) and each Sinkhorn call stops after
+    at most 500 sweeps. All four weight vectors are uniform.
     """
     X = as_matrix(X, "X")
     n, d = X.shape
@@ -124,8 +121,8 @@ def cocluster(
     outer_converged = False
     for _ in range(outer_iter):
         problem = CootProblem(
-            X, summary, loss=loss, eps_samples=eps1, eps_features=eps2,
-            max_iter=inner_iter, sinkhorn_max_iter=sinkhorn_max_iter,
+            X, summary, eps_samples=eps1, eps_features=eps2,
+            max_iter=inner_iter, sinkhorn_max_iter=500,
         )
         solution = _solve_single(problem, init)
         ps = solution.sample_coupling.plan
@@ -135,12 +132,12 @@ def cocluster(
         new_summary = g * m * (ps.T @ X @ pv)
         delta = float(np.max(np.abs(new_summary - summary)))
         summary = new_summary
-        if delta <= summary_tol:
+        if delta <= 1e-8:
             outer_converged = True
             break
     # final couplings against the final prototype
-    final = dataclasses.replace(solution, cost=coot_objective(
-        X, summary, solution.sample_coupling.plan, solution.feature_coupling.plan, loss))
+    final = dataclasses.replace(
+        solution, cost=coot_objective(X, summary, ps, pv, SQUARED_EUCLIDEAN))
     return CoClustering(
         row_labels=np.argmax(final.sample_coupling.plan, axis=1),
         col_labels=np.argmax(final.feature_coupling.plan, axis=1),
@@ -158,8 +155,8 @@ def cocluster(
 def misclassification_rate(pred, true) -> float:
     """Smallest error rate over one-to-one relabelings of predicted clusters.
 
-    Exhaustive over label permutations up to 8 clusters, optimal assignment
-    on the (zero-padded square) confusion matrix beyond that.
+    Optimal assignment on the square confusion matrix over the union of
+    labels; the counts are integers, so the optimum is exact.
     """
     pred = np.asarray(pred, dtype=np.int64)
     true = np.asarray(true, dtype=np.int64)
@@ -169,14 +166,8 @@ def misclassification_rate(pred, true) -> float:
     k = labels.size
     conf = np.zeros((k, k))
     np.add.at(conf, (np.searchsorted(labels, pred), np.searchsorted(labels, true)), 1.0)
-    if k <= 8:
-        best = max(
-            sum(conf[i, p[i]] for i in range(k))
-            for p in itertools.permutations(range(k))
-        )
-    else:
-        rows, cols = linear_sum_assignment(-conf)
-        best = conf[rows, cols].sum()
+    rows, cols = linear_sum_assignment(-conf)
+    best = conf[rows, cols].sum()
     return float(1.0 - best / pred.size)
 
 

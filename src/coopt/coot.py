@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import ClassVar, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .core import (
     SQUARED_EUCLIDEAN,
     as_histogram,
     as_matrix,
+    marginal_residual,
     uniform_histogram,
 )
 from .ot import OtResult, exact_ot, sinkhorn
@@ -63,8 +64,9 @@ class CootProblem:
     ``eps_samples``/``eps_features`` switch the corresponding inner update
     between the exact LP (0) and Sinkhorn (> 0). ``sample_cost_mask`` is an
     optional 0/1 matrix added (scaled by ``mask_penalty``) to the sample-side
-    contracted cost each iteration; ``mask_penalty=None`` means auto:
-    1e3 times the max entry of the unmasked cost, recomputed per iteration.
+    contracted cost each iteration; ``mask_penalty`` is a finite number > 0,
+    or None for auto: 1e3 times the max entry of the unmasked cost,
+    recomputed per iteration.
     """
 
     X: np.ndarray
@@ -79,9 +81,9 @@ class CootProblem:
     max_iter: int = 50
     tol: float = 1e-7
     sinkhorn_max_iter: int = 10000
-    sinkhorn_tol: float = 1e-9
     sample_cost_mask: Optional[np.ndarray] = None
     mask_penalty: Optional[float] = None
+    sinkhorn_tol: ClassVar[float] = 1e-9
 
     def __post_init__(self):
         X = as_matrix(self.X, "X")
@@ -96,6 +98,9 @@ class CootProblem:
             raise DimensionError("weight lengths do not match matrix dimensions")
         if self.eps_samples < 0 or self.eps_features < 0:
             raise DomainError("entropic strengths must be >= 0")
+        penalty = self.mask_penalty
+        if penalty is not None and not (np.isfinite(penalty) and penalty > 0):
+            raise DomainError(f"mask penalty must be a finite number > 0, got {penalty!r}")
         mask = self.sample_cost_mask
         if mask is not None:
             mask = as_matrix(mask, "sample cost mask")
@@ -152,8 +157,7 @@ def _scale_to_marginals(plan: np.ndarray, w, wp, max_iter: int = 500,
     for _ in range(max_iter):
         plan *= (w / plan.sum(axis=1))[:, None]
         plan *= (wp / plan.sum(axis=0))[None, :]
-        err = np.abs(plan.sum(axis=1) - w).sum() + np.abs(plan.sum(axis=0) - wp).sum()
-        if err <= tol:
+        if marginal_residual(plan, w, wp) <= tol:
             break
     return plan
 

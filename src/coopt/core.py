@@ -28,6 +28,7 @@ __all__ = [
     "LOSSES",
     "loss_eval",
     "Coupling",
+    "marginal_residual",
     "validate_coupling",
 ]
 
@@ -201,13 +202,15 @@ class Coupling:
 
     def marginal_error(self) -> float:
         """Total L1 deviation of the plan's marginals from the prescribed ones."""
-        return float(
-            np.abs(self.plan.sum(axis=1) - self.row_marginal).sum()
-            + np.abs(self.plan.sum(axis=0) - self.col_marginal).sum()
-        )
+        return marginal_residual(self.plan, self.row_marginal, self.col_marginal)
 
     def feasible(self, tol: float = 1e-7) -> bool:
         return validate_coupling(self.plan, self.row_marginal, self.col_marginal, tol)
+
+
+def marginal_residual(plan: np.ndarray, w: np.ndarray, wp: np.ndarray) -> float:
+    """Total L1 deviation of the row and column sums of ``plan`` from ``w`` and ``wp``."""
+    return float(np.abs(plan.sum(axis=1) - w).sum() + np.abs(plan.sum(axis=0) - wp).sum())
 
 
 def validate_coupling(plan, w, wp, tol: float) -> bool:

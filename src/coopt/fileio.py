@@ -21,7 +21,6 @@ __all__ = [
     "read_matrix_csv",
     "write_matrix_csv",
     "read_weights_csv",
-    "write_weights_csv",
     "read_labels_csv",
     "write_labels_csv",
     "export_heatmap",
@@ -62,10 +61,6 @@ def write_matrix_csv(path, matrix) -> None:
 def read_weights_csv(path) -> np.ndarray:
     """Single-column CSV of nonnegative weights."""
     return read_matrix_csv(path).reshape(-1)
-
-
-def write_weights_csv(path, weights) -> None:
-    write_matrix_csv(path, np.asarray(weights, dtype=np.float64).reshape(-1, 1))
 
 
 def read_labels_csv(path) -> np.ndarray:

@@ -152,7 +152,6 @@ def solve_gw_dc(
     tol: float = 1e-9,
     restarts: int = 1,
     seed: int = 0,
-    sinkhorn_max_iter: int = 10000,
 ) -> GwSolution:
     """Tied-coupling fixed-point iteration for the quadratic transport problem.
 
@@ -162,12 +161,9 @@ def solve_gw_dc(
     identity-biased start when the two sides have equal size, then seeded
     heavy-tailed perturbations; lowest cost wins, ties to the lowest index.
     """
-    C = _sim_array(C)
-    C2 = _sim_array(C2)
-    if np.max(np.abs(C - C.T)) > 1e-12 or np.max(np.abs(C2 - C2.T)) > 1e-12:
-        raise DomainError("similarity matrices must be symmetric")
-    problem = CootProblem(C, C2, w, wp, w, wp, loss, eps_samples=eps, max_iter=max_iter,
-                          tol=tol, sinkhorn_max_iter=sinkhorn_max_iter)
+    C = SimilarityMatrix(_sim_array(C)).matrix
+    C2 = SimilarityMatrix(_sim_array(C2)).matrix
+    problem = CootProblem(C, C2, w, wp, w, wp, loss, eps_samples=eps, max_iter=max_iter, tol=tol)
     starts = [None]
     if C.shape[0] == C2.shape[0] and restarts > 1:
         plan = _identity_biased_init(problem.w, problem.wp)

@@ -24,6 +24,7 @@ from .core import (
     DomainError,
     as_histogram,
     as_matrix,
+    marginal_residual,
 )
 
 __all__ = ["OtResult", "exact_ot", "sinkhorn"]
@@ -125,7 +126,7 @@ def sinkhorn(
     Parameters
     ----------
     eps : regularization strength, > 0.
-    max_iter : cap on full (row, column) update sweeps.
+    max_iter : cap on full (row, column) update sweeps, >= 1.
     tol : L1 marginal residual target.
     init_potentials : optional ``(f, g)`` warm start from a previous run.
 
@@ -137,6 +138,8 @@ def sinkhorn(
     w, wp, C = _check_inputs(w, wp, C)
     if eps <= 0:
         raise DomainError(f"sinkhorn needs eps > 0, got {eps}")
+    if max_iter < 1:
+        raise DomainError(f"sinkhorn needs max_iter >= 1, got {max_iter}")
     log_w = np.log(w)
     log_wp = np.log(wp)
     kernel = -C / eps
@@ -146,28 +149,13 @@ def sinkhorn(
         f = np.zeros(w.size)
         g = np.zeros(wp.size)
 
-    it = 0
-    plan = None
-    err = np.inf
-    while it < max_iter:
+    for it in range(1, max_iter + 1):
         f = -eps * _logsumexp(kernel + (log_wp + g / eps)[None, :], axis=1)
         g = -eps * _logsumexp(kernel + (log_w + f / eps)[:, None], axis=0)
         plan = np.exp((log_w + f / eps)[:, None] + (log_wp + g / eps)[None, :] + kernel)
-        err = float(
-            np.abs(plan.sum(axis=1) - w).sum() + np.abs(plan.sum(axis=0) - wp).sum()
-        )
-        it += 1
+        err = marginal_residual(plan, w, wp)
         if err <= tol:
             break
-    if plan is None:
-        # max_iter == 0: report the plan implied by the starting potentials
-        with np.errstate(over="ignore"):
-            plan = np.exp((log_w + f / eps)[:, None] + (log_wp + g / eps)[None, :] + kernel)
-        if not np.all(np.isfinite(plan)):
-            raise DomainError("sinkhorn with max_iter=0 needs usable starting potentials")
-        err = float(
-            np.abs(plan.sum(axis=1) - w).sum() + np.abs(plan.sum(axis=0) - wp).sum()
-        )
     converged = err <= tol
     cost = float(np.sum(C * plan))
     return OtResult(

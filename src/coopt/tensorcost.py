@@ -9,6 +9,9 @@ gives the effective cost of the complementary transport problem:
 * sample side: ``M_ij = sum_kl L(X_ik, X'_jl) pi_kl`` with a feature coupling
   ``pi (d x d')``, giving the ``n x n'`` cost for the sample transport step.
 
+The feature side of ``(X, X')`` is computed as the sample side of
+``(X^T, X'^T)``, so each kernel has a single, sample-side body.
+
 :func:`contract_naive` realizes the quadruple-sum semantics directly (the
 reference path, O(n n' d d') work). :func:`contract_factored` uses the
 ``L(a,b) = f1(a) + f2(b) - h1(a) h2(b)`` split, turning the contraction into
@@ -63,14 +66,11 @@ def _check_contract_inputs(X, X2, pi, loss: Loss, side: Side):
     X = as_matrix(X, "X")
     X2 = as_matrix(X2, "X'")
     pi = plan_array(pi)
-    n, d = X.shape
-    n2, d2 = X2.shape
     if side is Side.FEATURE:
-        expected = (n, n2)
-    elif side is Side.SAMPLE:
-        expected = (d, d2)
-    else:  # pragma: no cover - enum is closed
+        X, X2 = X.T, X2.T
+    elif side is not Side.SAMPLE:  # pragma: no cover - enum is closed
         raise ValueError(f"unknown side {side!r}")
+    expected = (X.shape[1], X2.shape[1])
     if pi.shape != expected:
         raise DimensionError(
             f"{side.value}-side contraction needs a {expected} coupling, got {pi.shape}"
@@ -87,18 +87,10 @@ def contract_naive(X, X2, pi, loss: Loss, side: Side) -> ContractedCost:
     deterministic for a fixed input.
     """
     X, X2, pi = _check_contract_inputs(X, X2, pi, loss, side)
-    n, d = X.shape
-    n2, d2 = X2.shape
-    if side is Side.FEATURE:
-        out = np.empty((d, d2))
-        for k in range(d):
-            # slab[j, l] aggregates L(X_ik, X'_jl) over i weighted by pi_ij
-            slab = loss.pair(X[:, k][:, None, None], X2[None, :, :])  # (n, n2, d2)
-            out[k, :] = np.einsum("ij,ijl->l", pi, slab)
-        return ContractedCost(out, side)
-    out = np.empty((n, n2))
-    for i in range(n):
-        slab = loss.pair(X[i, :][:, None, None], X2.T[None, :, :])  # (d, d2, n2)
+    out = np.empty((X.shape[0], X2.shape[0]))
+    for i in range(X.shape[0]):
+        # slab[k, l, j] = L(X_ik, X'_jl), aggregated over (k, l) weighted by pi_kl
+        slab = loss.pair(X[i, :][:, None, None], X2.T[None, :, :])
         out[i, :] = np.einsum("kl,klj->j", pi, slab)
     return ContractedCost(out, side)
 
@@ -129,12 +121,8 @@ def contract_factored(X, X2, pi, loss: Loss, side: Side) -> ContractedCost:
     X, X2, pi = _check_contract_inputs(X, X2, pi, loss, side)
     row_mass = pi.sum(axis=1)
     col_mass = pi.sum(axis=0)
-    if side is Side.FEATURE:
-        const = (loss.f1(X).T @ row_mass)[:, None] + (loss.f2(X2).T @ col_mass)[None, :]
-        cross = _h_term(loss.h1(X).T, pi, loss.h2(X2))
-    else:
-        const = (loss.f1(X) @ row_mass)[:, None] + (loss.f2(X2) @ col_mass)[None, :]
-        cross = _h_term(loss.h1(X), pi, loss.h2(X2).T)
+    const = (loss.f1(X) @ row_mass)[:, None] + (loss.f2(X2) @ col_mass)[None, :]
+    cross = _h_term(loss.h1(X), pi, loss.h2(X2).T)
     return ContractedCost(const - cross, side)
 
 

@@ -10,6 +10,7 @@ from coopt import (
     BLOCK_PRESETS,
     BlockConfig,
     ConfigError,
+    CootProblem,
     DimensionError,
     DomainError,
     cce,
@@ -352,3 +353,12 @@ def test_election_validation():
         as_election([[1.5, 2.0, 3.0], [1.0, 2.0, 3.0]])
     with pytest.raises(DimensionError):
         election_distance(np.array([[1.0, 2.0]]), np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+@pytest.mark.parametrize("penalty", [-10.0, 0.0, float("nan"), float("inf")])
+def test_mask_penalty_must_be_finite_and_positive(penalty):
+    X = np.arange(6.0).reshape(3, 2)
+    with pytest.raises(DomainError):
+        CootProblem(X, X, sample_cost_mask=np.zeros((3, 3)), mask_penalty=penalty)
+    with pytest.raises(DomainError):
+        hda_pipeline(X, X, [0, 1, 0], target_labels=[0, -1, -1], penalty=penalty)

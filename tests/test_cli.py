@@ -349,3 +349,21 @@ def test_report_outputs_name_every_artifact_in_order(tmp_path, small_pair, heatm
         assert run(["gen", "--n", "6", "--d", "4", "-g", "2", "-m", "2", "--seed", "1",
                     "--out", data]) == 0
         assert _output_names(data) == ["X.csv", "rows.csv", "cols.csv"]
+
+
+def test_gw_non_square_matrices_are_a_dimension_error(tmp_path):
+    x = tmp_path / "c.csv"
+    write_matrix_csv(x, np.ones((3, 4)))
+    assert run(["gw", "--x", x, "--y", x, "--out", tmp_path / "gw"]) == 3
+
+
+@pytest.mark.parametrize("penalty", ["-1", "0"])
+def test_hda_non_positive_penalty_is_a_domain_error(tmp_path, penalty):
+    xs = tmp_path / "xs.csv"
+    ys = tmp_path / "ys.csv"
+    yt = tmp_path / "yt.csv"
+    write_matrix_csv(xs, np.arange(6.0).reshape(3, 2))
+    write_labels_csv(ys, [0, 1, 0])
+    write_labels_csv(yt, [0, -1, -1])
+    assert run(["hda", "--xs", xs, "--xt", xs, "--ys", ys, "--yt-partial", yt,
+                "--penalty", penalty, "--out", tmp_path / "hda"]) == 3

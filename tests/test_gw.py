@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from coopt import (
+    DimensionError,
     DomainError,
     SQUARED_EUCLIDEAN,
     SimilarityKind,
@@ -191,3 +192,8 @@ def test_dc_rejects_zero_restarts():
     C = sqeuclid_matrix([[0.0], [1.0], [3.0]])
     with pytest.raises(DomainError):
         solve_gw_dc(C, C, restarts=0)
+
+
+def test_dc_rejects_non_square_matrices():
+    with pytest.raises(DimensionError):
+        solve_gw_dc(np.ones((3, 4)), np.ones((3, 4)))

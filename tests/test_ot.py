@@ -158,3 +158,9 @@ def test_ot_result_cost_matches_plan_recomputation():
     C = rng.random((4, 4))
     for res in (exact_ot(u, u, C), sinkhorn(u, u, C, eps=0.2)):
         assert res.cost == pytest.approx(float(np.sum(C * res.coupling.plan)), abs=1e-10)
+
+
+def test_sinkhorn_rejects_zero_max_iter():
+    u = uniform_histogram(2)
+    with pytest.raises(DomainError):
+        sinkhorn(u, u, np.eye(2), eps=1.0, max_iter=0)

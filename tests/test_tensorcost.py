@@ -214,3 +214,17 @@ def test_factored_path_is_faster_at_scale():
     naive_time = time.perf_counter() - start
     np.testing.assert_allclose(fast, ref, atol=1e-9, rtol=0)
     assert naive_time >= 5.0 * fast_time
+
+
+@pytest.mark.parametrize("shape, shape2", [((4, 3), (5, 2)), ((1, 4), (3, 2)), ((3, 1), (2, 1))])
+def test_feature_side_is_sample_side_of_transposed_data(shape, shape2):
+    rng = np.random.default_rng(39)
+    X = rng.random(shape) + 0.1
+    X2 = rng.random(shape2) + 0.1
+    ps = rng.random((shape[0], shape2[0]))
+    for loss in (SQUARED_EUCLIDEAN, ABSOLUTE, KULLBACK_LEIBLER):
+        kernels = [contract_naive] + ([contract_factored] if loss.has_decomposition else [])
+        for kernel in kernels:
+            feature = kernel(X, X2, ps, loss, Side.FEATURE).matrix
+            sample = kernel(X.T, X2.T, ps, loss, Side.SAMPLE).matrix
+            assert np.array_equal(feature, sample), (loss.name, kernel.__name__)
