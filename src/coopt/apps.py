@@ -103,8 +103,9 @@ def cocluster(
     outer objective trace non-increasing with exact inner solvers), then
     refits the prototype; the loop stops when no prototype entry moves by
     more than 1e-8 or after ``outer_iter`` rounds. The loss is squared
-    Euclidean (the refit is its minimizer) and each Sinkhorn call stops after
-    at most 500 sweeps. All four weight vectors are uniform.
+    Euclidean (the refit, :func:`summary_update`, is its minimizer) and each
+    Sinkhorn call stops after at most 500 sweeps. All four weight vectors are
+    uniform.
     """
     X = as_matrix(X, "X")
     n, d = X.shape
@@ -129,7 +130,7 @@ def cocluster(
         pv = solution.feature_coupling.plan
         init = (ps, pv)
         trace.append(solution.cost)
-        new_summary = g * m * (ps.T @ X @ pv)
+        new_summary = summary_update(X, ps, pv)
         delta = float(np.max(np.abs(new_summary - summary)))
         summary = new_summary
         if delta <= 1e-8:
@@ -192,7 +193,6 @@ class BlockConfig:
     row_proportions: Tuple[float, ...]
     col_proportions: Tuple[float, ...]
     separation: float
-    noise: float = 1.0
 
     def __post_init__(self):
         if self.n < self.row_clusters or self.d < self.col_clusters:
@@ -240,11 +240,11 @@ def _cluster_sizes(k: int, proportions: Sequence[float], total: int) -> np.ndarr
 
 
 def generate_blocks(config: BlockConfig, seed: int):
-    """Gaussian block model: entry (i, k) ~ Normal(mu[row_cluster, col_cluster], noise^2).
+    """Gaussian block model: entry (i, k) ~ Normal(mu[row_cluster, col_cluster], 1).
 
     Block means sit on a seeded permutation of the integer grid
     ``{0, ..., g*m - 1}`` scaled by ``separation``, so every block is
-    distinct and overlap is controlled by separation vs noise.
+    distinct and overlap is controlled by separation vs the unit noise.
 
     Returns ``(X, row_labels, col_labels)``; deterministic for a fixed seed.
     """
@@ -253,7 +253,7 @@ def generate_blocks(config: BlockConfig, seed: int):
     means = config.separation * rng.permutation(g * m).reshape(g, m).astype(np.float64)
     row_labels = np.repeat(np.arange(g), _cluster_sizes(g, config.row_proportions, config.n))
     col_labels = np.repeat(np.arange(m), _cluster_sizes(m, config.col_proportions, config.d))
-    X = rng.normal(means[np.ix_(row_labels, col_labels)], config.noise)
+    X = rng.normal(means[np.ix_(row_labels, col_labels)], 1.0)
     return X, row_labels, col_labels
 
 

@@ -66,7 +66,9 @@ class CootProblem:
     optional 0/1 matrix added (scaled by ``mask_penalty``) to the sample-side
     contracted cost each iteration; ``mask_penalty`` is a finite number > 0,
     or None for auto: 1e3 times the max entry of the unmasked cost,
-    recomputed per iteration.
+    recomputed per iteration. ``max_iter >= 0`` caps the outer iterations (0
+    returns the starting couplings); ``sinkhorn_max_iter >= 1`` caps the
+    sweeps of each Sinkhorn call.
     """
 
     X: np.ndarray
@@ -98,6 +100,9 @@ class CootProblem:
             raise DimensionError("weight lengths do not match matrix dimensions")
         if self.eps_samples < 0 or self.eps_features < 0:
             raise DomainError("entropic strengths must be >= 0")
+        if self.max_iter < 0 or self.sinkhorn_max_iter < 1:
+            raise DomainError("need max_iter >= 0 and sinkhorn_max_iter >= 1, got "
+                              f"{self.max_iter} and {self.sinkhorn_max_iter}")
         penalty = self.mask_penalty
         if penalty is not None and not (np.isfinite(penalty) and penalty > 0):
             raise DomainError(f"mask penalty must be a finite number > 0, got {penalty!r}")
@@ -113,10 +118,6 @@ class CootProblem:
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "vp", vp)
         object.__setattr__(self, "sample_cost_mask", mask)
-
-    @property
-    def shape(self) -> Tuple[int, int, int, int]:
-        return (*self.X.shape, *self.X2.shape)
 
 
 @dataclass(frozen=True)
@@ -151,13 +152,12 @@ def random_coupling(w, wp, rng: np.random.Generator) -> np.ndarray:
     return _scale_to_marginals(plan, w, wp)
 
 
-def _scale_to_marginals(plan: np.ndarray, w, wp, max_iter: int = 500,
-                        tol: float = 1e-13) -> np.ndarray:
+def _scale_to_marginals(plan: np.ndarray, w, wp) -> np.ndarray:
     plan = np.array(plan, dtype=np.float64)
-    for _ in range(max_iter):
+    for _ in range(500):
         plan *= (w / plan.sum(axis=1))[:, None]
         plan *= (wp / plan.sum(axis=0))[None, :]
-        if marginal_residual(plan, w, wp) <= tol:
+        if marginal_residual(plan, w, wp) <= 1e-13:
             break
     return plan
 
@@ -255,16 +255,15 @@ def solve_coot(
     restarts: int = 1,
     seed: int = 0,
     jobs: int = 1,
-    init: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> CootSolution:
     """Alternating minimization for the co-optimal transport problem.
 
-    Restart 0 starts from the product couplings (or the explicit ``init``);
-    restart ``r >= 1`` starts from :func:`random_coupling` seeded with
-    ``(seed, r)``. The returned solution is the lowest-cost restart, ties
-    broken by lowest restart index, independent of ``jobs``.
+    Restart 0 starts from the product couplings; restart ``r >= 1`` starts
+    from :func:`random_coupling` seeded with ``(seed, r)``. The returned
+    solution is the lowest-cost restart, ties broken by lowest restart index,
+    independent of ``jobs``.
     """
-    return _best_restart(problem, [init], restarts, seed, jobs)
+    return _best_restart(problem, [None], restarts, seed, jobs)
 
 
 @dataclass(frozen=True)
@@ -309,9 +308,9 @@ def bap_oracle(X, X2, loss: Loss = SQUARED_EUCLIDEAN) -> BapResult:
     return BapResult(float(table[a, b]), row_perms[a], col_perms[b])
 
 
-def permutation_equal(X, X2, tol: float = 0.0) -> bool:
-    """True iff some row and column permutation maps ``X2`` onto ``X`` exactly
-    (within ``tol``). Enumerative; same size bounds as the oracle."""
+def permutation_equal(X, X2) -> bool:
+    """True iff some row and column permutation maps ``X2`` onto ``X``
+    exactly. Enumerative; same size bounds as the oracle."""
     X = as_matrix(X, "X")
     X2 = as_matrix(X2, "X'")
     if X.shape != X2.shape:
@@ -322,7 +321,7 @@ def permutation_equal(X, X2, tol: float = 0.0) -> bool:
     for s1 in itertools.permutations(range(n)):
         Y = X2[list(s1), :]
         for s2 in itertools.permutations(range(d)):
-            if np.max(np.abs(X - Y[:, list(s2)])) <= tol:
+            if np.array_equal(X, Y[:, list(s2)]):
                 return True
     return False
 

@@ -52,6 +52,8 @@ __all__ = [
     "gw_coot_equivalence_check",
 ]
 
+_EQUIVALENCE_TOL = 1e-9  # absolute slack of the gw_coot_equivalence_check comparisons
+
 
 class SimilarityKind(enum.Enum):
     SQUARED_EUCLIDEAN = "squared_euclidean"
@@ -192,7 +194,7 @@ def gw_permutation_oracle(C, C2, loss: Loss = SQUARED_EUCLIDEAN) -> float:
     return best
 
 
-def gw_coot_equivalence_check(points, points2, tol: float = 1e-9) -> dict:
+def gw_coot_equivalence_check(points, points2) -> dict:
     """Certify agreement of the tied and two-coupling optima on squared
     Euclidean matrices built from two point clouds (enumeration-sized).
 
@@ -221,7 +223,7 @@ def gw_coot_equivalence_check(points, points2, tol: float = 1e-9) -> dict:
     return {
         "coot_value": coot.cost,
         "gw_value": gw_value,
-        "coot_leq_gw": coot.cost <= gw_value + tol,
-        "values_equal": abs(coot.cost - gw_value) <= tol,
-        "tied_pair_attains_coot": abs(tied_pair_value - coot.cost) <= tol,
+        "coot_leq_gw": coot.cost <= gw_value + _EQUIVALENCE_TOL,
+        "values_equal": abs(coot.cost - gw_value) <= _EQUIVALENCE_TOL,
+        "tied_pair_attains_coot": abs(tied_pair_value - coot.cost) <= _EQUIVALENCE_TOL,
     }

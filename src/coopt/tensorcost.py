@@ -16,7 +16,8 @@ The feature side of ``(X, X')`` is computed as the sample side of
 reference path, O(n n' d d') work). :func:`contract_factored` uses the
 ``L(a,b) = f1(a) + f2(b) - h1(a) h2(b)`` split, turning the contraction into
 three matrix products whose association order is chosen by comparing flop
-counts.
+counts. :func:`coot_objective` is the sample-side contraction summed against
+the sample coupling.
 """
 
 from __future__ import annotations
@@ -134,11 +135,7 @@ def contract(X, X2, pi, loss: Loss, side: Side) -> np.ndarray:
 
 
 def coot_objective(X, X2, sample_plan, feature_plan, loss: Loss) -> float:
-    """Doubly contracted objective ``sum L(X_ik, X'_jl) pi^s_ij pi^v_kl``.
-
-    The contraction side is picked by the cheaper of the two flop bounds;
-    both orders agree within 1e-10.
-    """
+    """Doubly contracted objective ``sum L(X_ik, X'_jl) pi^s_ij pi^v_kl``."""
     X = as_matrix(X, "X")
     X2 = as_matrix(X2, "X'")
     ps = plan_array(sample_plan)
@@ -149,8 +146,4 @@ def coot_objective(X, X2, sample_plan, feature_plan, loss: Loss) -> float:
         raise DimensionError(
             f"couplings {ps.shape}/{pv.shape} do not match data ({n}x{d} vs {n2}x{d2})"
         )
-    sample_first = (n + n2) * d * d2 + n2 * n2 * n
-    feature_first = (d + d2) * n * n2 + d2 * d2 * d
-    if sample_first <= feature_first:
-        return float(np.sum(contract(X, X2, ps, loss, Side.FEATURE) * pv))
     return float(np.sum(contract(X, X2, pv, loss, Side.SAMPLE) * ps))

@@ -362,3 +362,12 @@ def test_mask_penalty_must_be_finite_and_positive(penalty):
         CootProblem(X, X, sample_cost_mask=np.zeros((3, 3)), mask_penalty=penalty)
     with pytest.raises(DomainError):
         hda_pipeline(X, X, [0, 1, 0], target_labels=[0, -1, -1], penalty=penalty)
+
+
+def test_cocluster_summary_is_the_refit_of_the_final_plans():
+    config = BlockConfig(60, 30, 3, 3, (1 / 3,) * 3, (1 / 3,) * 3, 4.0)
+    X, _, _ = generate_blocks(config, 3)
+    result = cocluster(X, 3, 3, seed=0)
+    sol = result.solution
+    refit = summary_update(X, sol.sample_coupling.plan, sol.feature_coupling.plan)
+    assert np.array_equal(result.summary, refit)

@@ -367,3 +367,9 @@ def test_hda_non_positive_penalty_is_a_domain_error(tmp_path, penalty):
     write_labels_csv(yt, [0, -1, -1])
     assert run(["hda", "--xs", xs, "--xt", xs, "--ys", ys, "--yt-partial", yt,
                 "--penalty", penalty, "--out", tmp_path / "hda"]) == 3
+
+
+def test_coot_negative_max_iter_is_a_domain_error(tmp_path, small_pair):
+    x, y = small_pair
+    assert run(["coot", "--x", x, "--y", y, "--max-iter", "-1",
+                "--out", tmp_path / "neg"]) == 3

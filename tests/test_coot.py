@@ -7,6 +7,7 @@ from coopt import (
     ABSOLUTE,
     CootProblem,
     DimensionError,
+    DomainError,
     SQUARED_EUCLIDEAN,
     bap_oracle,
     coot_distance_checks,
@@ -65,6 +66,14 @@ def test_trace_monotone_with_exact_solvers():
         sol = solve_coot(CootProblem(X, X2))
         trace = sol.objective_trace
         assert all(trace[i + 1] <= trace[i] + 1e-9 for i in range(len(trace) - 1))
+
+
+@pytest.mark.parametrize("caps", [{"max_iter": -1}, {"sinkhorn_max_iter": 0},
+                                  {"eps_samples": 0.1, "sinkhorn_max_iter": -3}])
+def test_problem_rejects_iteration_caps_out_of_range(caps):
+    X = np.random.default_rng(46).random((3, 2))
+    with pytest.raises(DomainError):
+        CootProblem(X, X, **caps)
 
 
 def test_max_iter_zero_returns_product_initialization():

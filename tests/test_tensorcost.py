@@ -12,6 +12,7 @@ from coopt import (
     SQUARED_EUCLIDEAN,
     Side,
     UnsupportedLossError,
+    contract,
     contract_factored,
     contract_naive,
     coot_objective,
@@ -228,3 +229,15 @@ def test_feature_side_is_sample_side_of_transposed_data(shape, shape2):
             feature = kernel(X, X2, ps, loss, Side.FEATURE).matrix
             sample = kernel(X.T, X2.T, ps, loss, Side.SAMPLE).matrix
             assert np.array_equal(feature, sample), (loss.name, kernel.__name__)
+
+
+@pytest.mark.parametrize("n, d, n2, d2", [(12, 10, 3, 3), (40, 40, 30, 30), (5, 9, 4, 2)])
+def test_objective_is_the_sample_side_contraction(n, d, n2, d2):
+    rng = np.random.default_rng(44)
+    X = rng.random((n, d)) + 0.1
+    X2 = rng.random((n2, d2)) + 0.1
+    ps = rng.random((n, n2)) / (n * n2)
+    pv = rng.random((d, d2)) / (d * d2)
+    for loss in (SQUARED_EUCLIDEAN, KULLBACK_LEIBLER, ABSOLUTE):
+        want = float(np.sum(contract(X, X2, pv, loss, Side.SAMPLE) * ps))
+        assert coot_objective(X, X2, ps, pv, loss) == want, loss.name
