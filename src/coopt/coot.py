@@ -231,6 +231,8 @@ def _best_restart(problem: CootProblem, starts: list, restarts: int, seed: int,
     lowest restart index, independent of ``jobs``."""
     if restarts < 1:
         raise DomainError("restarts must be >= 1")
+    if jobs < 1:
+        raise DomainError("jobs must be >= 1")
     starts = list(starts)
     r = 1
     while len(starts) < restarts:

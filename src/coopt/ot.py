@@ -17,6 +17,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment, linprog
+from scipy.sparse import csc_array
 
 from .core import (
     Coupling,
@@ -58,12 +59,7 @@ def _check_inputs(w, wp, C):
 
 
 def _is_uniform_square(w: np.ndarray, wp: np.ndarray) -> bool:
-    return (
-        w.size == wp.size
-        and np.all(w == w[0])
-        and np.all(wp == wp[0])
-        and w[0] == wp[0]
-    )
+    return w.size == wp.size and np.all(w == w[0]) and np.all(wp == w[0])
 
 
 def exact_ot(w, wp, C) -> OtResult:
@@ -72,8 +68,10 @@ def exact_ot(w, wp, C) -> OtResult:
     Uniform square instances dispatch to the Hungarian algorithm (the optimal
     vertex is a permutation matrix scaled by 1/n); everything else goes
     through the HiGHS dual simplex, which also returns a basic (vertex)
-    solution. One redundant marginal equality is dropped so the constraint
-    system has full rank.
+    solution. The marginal equalities, less the redundant last column sum,
+    are the incidence matrix of a bipartite graph: two nonzeros per column,
+    so they are built sparse (dense, they take (n+m-1) x nm floats). HiGHS
+    presolve is off: on these LPs it costs more time than it saves.
     """
     w, wp, C = _check_inputs(w, wp, C)
     n, m = C.shape
@@ -84,15 +82,14 @@ def exact_ot(w, wp, C) -> OtResult:
         cost = float(np.sum(C * plan))
         return OtResult(Coupling(plan, w, wp), cost, iterations=1, converged=True)
 
-    row_eq = np.zeros((n, n * m))
-    for i in range(n):
-        row_eq[i, i * m : (i + 1) * m] = 1.0
-    col_eq = np.zeros((m - 1, n * m))
-    for j in range(m - 1):
-        col_eq[j, j::m] = 1.0
-    a_eq = np.vstack([row_eq, col_eq])
-    b_eq = np.concatenate([w, wp[:-1]])
-    res = linprog(C.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs-ds")
+    # Column i*m + j has a 1 in rows i and n + j, except the dropped row n + m - 1.
+    i, j = np.divmod(np.arange(n * m), m)
+    rows = np.column_stack([i, n + j]).ravel()
+    indptr = np.concatenate([[0], np.cumsum(np.where(j < m - 1, 2, 1))])
+    a_eq = csc_array((np.ones(indptr[-1]), rows[rows < n + m - 1], indptr),
+                     shape=(n + m - 1, n * m))
+    res = linprog(C.ravel(), A_eq=a_eq, b_eq=np.concatenate([w, wp[:-1]]), method="highs-ds",
+                  options={"presolve": False})
     if res.status != 0:
         raise DomainError(f"exact transport LP failed: {res.message}")
     plan = np.maximum(res.x.reshape(n, m), 0.0)

@@ -373,3 +373,9 @@ def test_coot_negative_max_iter_is_a_domain_error(tmp_path, small_pair):
     x, y = small_pair
     assert run(["coot", "--x", x, "--y", y, "--max-iter", "-1",
                 "--out", tmp_path / "neg"]) == 3
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_coot_jobs_below_one_is_a_domain_error(tmp_path, small_pair, jobs):
+    x, y = small_pair
+    assert run(["coot", "--x", x, "--y", y, "--jobs", jobs, "--out", tmp_path / "jobs"]) == 3

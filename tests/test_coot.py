@@ -76,6 +76,13 @@ def test_problem_rejects_iteration_caps_out_of_range(caps):
         CootProblem(X, X, **caps)
 
 
+@pytest.mark.parametrize("jobs", [0, -2])
+def test_solve_rejects_jobs_below_one(jobs):
+    X = np.random.default_rng(47).random((3, 2))
+    with pytest.raises(DomainError):
+        solve_coot(CootProblem(X, X), restarts=2, jobs=jobs)
+
+
 def test_max_iter_zero_returns_product_initialization():
     rng = np.random.default_rng(45)
     X = rng.random((3, 2))

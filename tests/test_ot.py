@@ -1,9 +1,11 @@
 """Unit tests for the exact and entropic transport subsolvers."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from coopt import (
     DimensionError,
@@ -85,6 +87,61 @@ def test_exact_ot_errors():
         exact_ot(u, u, [[np.nan, 0.0], [0.0, 1.0]])
     with pytest.raises(DimensionError):
         exact_ot(u, uniform_histogram(3), [[1.0, 2.0], [3.0, 4.0]])
+
+
+def _dense_lp_plan(w, wp, C):
+    """The transport LP with a dense constraint matrix, solved by the same method."""
+    n, m = C.shape
+    row_eq = np.zeros((n, n * m))
+    for i in range(n):
+        row_eq[i, i * m : (i + 1) * m] = 1.0
+    col_eq = np.zeros((m - 1, n * m))
+    for j in range(m - 1):
+        col_eq[j, j::m] = 1.0
+    res = linprog(C.ravel(), A_eq=np.vstack([row_eq, col_eq]), b_eq=np.concatenate([w, wp[:-1]]),
+                  bounds=(0, None), method="highs-ds", options={"presolve": False})
+    return np.maximum(res.x.reshape(n, m), 0.0), res.nit
+
+
+@pytest.mark.parametrize("uniform", [True, False])
+@pytest.mark.parametrize("shape", [(1, 5), (5, 1), (2, 3), (7, 4), (50, 40)],
+                         ids=["1x5", "5x1", "2x3", "7x4", "50x40"])
+def test_exact_ot_sparse_constraints_match_dense_reference(shape, uniform):
+    n, m = shape
+    rng = np.random.default_rng([n, m, uniform])
+    if uniform:
+        w, wp = uniform_histogram(n), uniform_histogram(m)
+    else:
+        w, wp = rng.uniform(0.1, 1, n), rng.uniform(0.1, 1, m)
+        w, wp = w / w.sum(), wp / wp.sum()
+    costs = {
+        "random": rng.random(shape),
+        "constant": np.full(shape, 2.5),
+        "zero": np.zeros(shape),
+        "integer": rng.integers(0, 4, shape).astype(float),
+        "1e8 scale": 1e8 * rng.random(shape),
+    }
+    for name, C in costs.items():
+        res = exact_ot(w, wp, C)
+        plan, nit = _dense_lp_plan(w, wp, C)
+        assert np.array_equal(res.coupling.plan, plan), name
+        assert res.iterations == nit, name
+
+
+def test_exact_ot_memory_stays_small_at_300x200():
+    """A dense constraint matrix alone would take 499 x 60000 floats (240 MB)."""
+    rng = np.random.default_rng(31)
+    w, wp = rng.uniform(0.1, 1, 300), rng.uniform(0.1, 1, 200)
+    w, wp = w / w.sum(), wp / wp.sum()
+    C = rng.random((300, 200))
+    tracemalloc.start()
+    try:
+        res = exact_ot(w, wp, C)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert validate_coupling(res.coupling.plan, w, wp, 1e-9)
 
 
 def test_sinkhorn_constant_cost_gives_product_coupling():
