@@ -39,6 +39,8 @@ __all__ = [
     "cce",
     "misclassification_rate",
     "BlockConfig",
+    "equal_proportions",
+    "ramped_proportions",
     "BLOCK_PRESETS",
     "generate_blocks",
     "as_label_matrix",
@@ -207,11 +209,11 @@ class BlockConfig:
                 raise ConfigError(f"{name}_proportions must be positive and sum to 1")
 
 
-def _equal(k: int) -> Tuple[float, ...]:
+def equal_proportions(k: int) -> Tuple[float, ...]:
     return tuple(1.0 / k for _ in range(k))
 
 
-def _unequal(k: int) -> Tuple[float, ...]:
+def ramped_proportions(k: int) -> Tuple[float, ...]:
     # ramp splits in the spirit of 0.2/0.3/0.5
     weights = np.arange(1, k + 1, dtype=np.float64)
     return tuple(weights / weights.sum())
@@ -220,10 +222,10 @@ def _unequal(k: int) -> Tuple[float, ...]:
 # sizes, cluster counts, overlap degree and proportions of the four
 # simulated regimes; separation 4 = well-separated, 1 = ill-separated
 BLOCK_PRESETS = {
-    "D1": BlockConfig(600, 300, 3, 3, _equal(3), _equal(3), 4.0),
-    "D2": BlockConfig(600, 300, 3, 3, _unequal(3), _unequal(3), 4.0),
-    "D3": BlockConfig(300, 200, 2, 4, _equal(2), _equal(4), 1.0),
-    "D4": BlockConfig(300, 300, 5, 4, _unequal(5), _unequal(4), 1.0),
+    "D1": BlockConfig(600, 300, 3, 3, equal_proportions(3), equal_proportions(3), 4.0),
+    "D2": BlockConfig(600, 300, 3, 3, ramped_proportions(3), ramped_proportions(3), 4.0),
+    "D3": BlockConfig(300, 200, 2, 4, equal_proportions(2), equal_proportions(4), 1.0),
+    "D4": BlockConfig(300, 300, 5, 4, ramped_proportions(5), ramped_proportions(4), 1.0),
 }
 
 

@@ -284,7 +284,7 @@ def cmd_gen(args) -> int:
         if missing:
             raise DomainError(f"gen needs --preset or all of {sorted(required)}; "
                               f"missing {missing}")
-        make = apps._unequal if args.unequal else apps._equal
+        make = apps.ramped_proportions if args.unequal else apps.equal_proportions
         config = apps.BlockConfig(args.n, args.d, args.g, args.m,
                                   make(args.g), make(args.m), args.separation)
     X, rows, cols = apps.generate_blocks(config, args.seed)

@@ -9,10 +9,11 @@ decrease the objective, so the trace is monotone. Gromov-Wasserstein
 both slots, so only the sample half-step is solved.
 
 The problem is a non-convex bilinear program; alternation converges to a
-partial optimum that depends on the starting point. Restarts perturb the
-product-coupling start with a seeded heavy-tailed positive matrix projected
-back onto the polytope, and the best restart (lowest cost, then lowest
-restart index) is returned.
+partial optimum that depends on the starting point. Starts, in order: the
+product coupling; in the tied case with equal sides, an identity-biased plan;
+then seeded heavy-tailed perturbations of the product coupling projected
+back onto the polytope. The best restart (lowest cost, then lowest restart
+index) is returned.
 
 :func:`bap_oracle` enumerates all row/column permutation pairs, which is the
 exact optimum for uniform square instances since an optimal pair of vertices
@@ -40,7 +41,8 @@ from .core import (
     uniform_histogram,
 )
 from .ot import OtResult, exact_ot, sinkhorn
-from .tensorcost import Side, contract, coot_objective
+from .tensorcost import Side, contract
+from .tensorcost import coot_objective  # noqa: F401 -- wrapped by name in bench/spans.py
 
 __all__ = [
     "CootProblem",
@@ -182,7 +184,9 @@ def _masked(cost: np.ndarray, problem: CootProblem) -> np.ndarray:
 def _solve_single(problem: CootProblem,
                   init: Optional[Tuple[np.ndarray, np.ndarray]],
                   restart_index: int = 0, tied: bool = False) -> CootSolution:
-    # tied: one coupling on both slots (GW); the feature half-step is skipped
+    # tied: one coupling on both slots (GW), no feature half-step. ``cost`` is
+    # the sample-side contraction of ``pv``: it prices the sample step and,
+    # summed against ``ps``, is the objective.
     X, X2, loss = problem.X, problem.X2, problem.loss
     w, wp, v, vp = problem.w, problem.wp, problem.v, problem.vp
     if init is None:
@@ -193,7 +197,8 @@ def _solve_single(problem: CootProblem,
         pv = np.array(init[1], dtype=np.float64)
     if tied:
         pv = ps
-    trace = [coot_objective(X, X2, ps, pv, loss)]
+    cost = contract(X, X2, pv, loss, Side.SAMPLE)
+    trace = [float(np.sum(cost * ps))]
     warm_v = warm_s = None
     iterations = 0
     converged = False
@@ -203,12 +208,13 @@ def _solve_single(problem: CootProblem,
             feat_cost = contract(X, X2, ps, loss, Side.FEATURE)
             res_v = _inner_ot(v, vp, feat_cost, problem.eps_features, problem, warm_v)
             pv, warm_v = res_v.coupling.plan, res_v.potentials
-        samp_cost = _masked(contract(X, X2, pv, loss, Side.SAMPLE), problem)
-        res_s = _inner_ot(w, wp, samp_cost, problem.eps_samples, problem, warm_s)
+            cost = contract(X, X2, pv, loss, Side.SAMPLE)
+        res_s = _inner_ot(w, wp, _masked(cost, problem), problem.eps_samples, problem, warm_s)
         ps, warm_s = res_s.coupling.plan, res_s.potentials
         if tied:
             pv = ps
-        trace.append(coot_objective(X, X2, ps, pv, loss))
+            cost = contract(X, X2, pv, loss, Side.SAMPLE)
+        trace.append(float(np.sum(cost * ps)))
         iterations += 1
         if float(np.linalg.norm(pv - pv_prev)) <= problem.tol:
             converged = True
@@ -224,20 +230,25 @@ def _solve_single(problem: CootProblem,
     )
 
 
-def _best_restart(problem: CootProblem, starts: list, restarts: int, seed: int,
+def _best_restart(problem: CootProblem, restarts: int, seed: int,
                   jobs: int = 1, tied: bool = False) -> CootSolution:
-    """Run the fixed ``starts``, then seeded draws ``(seed, r)`` for
-    ``r = 1, 2, ...`` up to ``restarts`` starts; lowest cost wins, ties to the
-    lowest restart index, independent of ``jobs``."""
+    """Best of ``restarts`` solves: lowest cost, ties to the lowest restart
+    index, independent of ``jobs``. Starts, in order: the product coupling;
+    if ``tied`` with equal sides and ``restarts > 1``, an identity-biased
+    plan; then :func:`random_coupling` seeded ``(seed, r)``, r = 1, 2, ..."""
     if restarts < 1:
         raise DomainError("restarts must be >= 1")
     if jobs < 1:
         raise DomainError("jobs must be >= 1")
-    starts = list(starts)
+    w, wp = problem.w, problem.wp
+    starts = [None]
+    if tied and w.size == wp.size and restarts > 1:
+        plan = _scale_to_marginals(np.eye(w.size) * w.size + 1.0, w, wp)
+        starts.append((plan, plan))
     r = 1
     while len(starts) < restarts:
         rng = np.random.default_rng([seed, r])
-        ps = random_coupling(problem.w, problem.wp, rng)
+        ps = random_coupling(w, wp, rng)
         starts.append((ps, ps if tied else random_coupling(problem.v, problem.vp, rng)))
         r += 1
 
@@ -265,7 +276,7 @@ def solve_coot(
     solution is the lowest-cost restart, ties broken by lowest restart index,
     independent of ``jobs``.
     """
-    return _best_restart(problem, [None], restarts, seed, jobs)
+    return _best_restart(problem, restarts, seed, jobs)
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,8 @@ and the objective can only decrease. The same iteration coincides with the
 conditional-gradient update whose exact line search is always a full step:
 the gradient is twice the contracted cost, and scaling a transport cost does
 not change its minimizer. The iteration is the tied case of the alternating
-driver and restart routine in :mod:`coopt.coot`; this module only builds the
-problem, picks the starts and wraps the result.
+driver and restart routine in :mod:`coopt.coot`, which also builds the
+starts; this module only builds the problem and wraps the result.
 
 For whitened data compared through cosine-similarity matrices, the optimum
 here also agrees with transport formulations that optimize a linear feature
@@ -30,13 +30,7 @@ from typing import List
 import numpy as np
 
 from .core import Coupling, DimensionError, DomainError, Loss, SQUARED_EUCLIDEAN, as_matrix
-from .coot import (
-    ORACLE_MAX_SIZE,
-    CootProblem,
-    _best_restart,
-    _scale_to_marginals,
-    bap_oracle,
-)
+from .coot import ORACLE_MAX_SIZE, CootProblem, _best_restart, bap_oracle
 from .ot import exact_ot, sinkhorn  # noqa: F401 -- wrapped by name in bench/spans.py
 from .tensorcost import Side, contract, coot_objective
 
@@ -79,10 +73,6 @@ class SimilarityMatrix:
                     "squared-Euclidean similarity needs a zero diagonal and nonnegative entries"
                 )
         object.__setattr__(self, "matrix", m)
-
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
 
 
 def _sim_array(C) -> np.ndarray:
@@ -130,15 +120,8 @@ class GwSolution:
     restart_index: int = 0
 
 
-def _identity_biased_init(w: np.ndarray, wp: np.ndarray) -> np.ndarray:
-    # strictly positive, identity-dominant, then projected to the polytope
-    n = w.size
-    return _scale_to_marginals(np.eye(n) * n + 1.0, w, wp)
-
-
-def _dc_single(problem: CootProblem, starts: list, restarts: int,
-               seed: int) -> GwSolution:
-    sol = _best_restart(problem, starts, restarts, seed, tied=True)
+def _dc_single(problem: CootProblem, restarts: int, seed: int) -> GwSolution:
+    sol = _best_restart(problem, restarts, seed, tied=True)
     return GwSolution(sol.sample_coupling, sol.cost, sol.objective_trace,
                       sol.iterations, sol.converged, sol.restart_index)
 
@@ -146,8 +129,6 @@ def _dc_single(problem: CootProblem, starts: list, restarts: int,
 def solve_gw_dc(
     C,
     C2,
-    w=None,
-    wp=None,
     loss: Loss = SQUARED_EUCLIDEAN,
     eps: float = 0.0,
     max_iter: int = 100,
@@ -159,18 +140,15 @@ def solve_gw_dc(
 
     ``eps=0`` uses the exact inner solver; ``eps>0`` runs the entropic inner
     solver, which reproduces the projected-gradient scheme for the entropic
-    quadratic problem. Restarts: product coupling first, then an
-    identity-biased start when the two sides have equal size, then seeded
-    heavy-tailed perturbations; lowest cost wins, ties to the lowest index.
+    quadratic problem. Both sides carry uniform weights. Restarts: product
+    coupling first, then an identity-biased start when the two sides have
+    equal size, then seeded heavy-tailed perturbations; lowest cost wins,
+    ties to the lowest index.
     """
     C = SimilarityMatrix(_sim_array(C)).matrix
     C2 = SimilarityMatrix(_sim_array(C2)).matrix
-    problem = CootProblem(C, C2, w, wp, w, wp, loss, eps_samples=eps, max_iter=max_iter, tol=tol)
-    starts = [None]
-    if C.shape[0] == C2.shape[0] and restarts > 1:
-        plan = _identity_biased_init(problem.w, problem.wp)
-        starts.append((plan, plan))
-    return _dc_single(problem, starts, restarts, seed)
+    problem = CootProblem(C, C2, loss=loss, eps_samples=eps, max_iter=max_iter, tol=tol)
+    return _dc_single(problem, restarts, seed)
 
 
 def gw_permutation_oracle(C, C2, loss: Loss = SQUARED_EUCLIDEAN) -> float:

@@ -379,3 +379,31 @@ def test_coot_negative_max_iter_is_a_domain_error(tmp_path, small_pair):
 def test_coot_jobs_below_one_is_a_domain_error(tmp_path, small_pair, jobs):
     x, y = small_pair
     assert run(["coot", "--x", x, "--y", y, "--jobs", jobs, "--out", tmp_path / "jobs"]) == 3
+
+
+def test_gen_unequal_writes_ramped_cluster_sizes(tmp_path):
+    out = tmp_path / "ramp"
+    assert run(["gen", "--n", "6", "--d", "4", "-g", "2", "-m", "2", "--unequal",
+                "--seed", "0", "--out", out]) == 0
+    # proportions 1/3 and 2/3, rounded by largest remainder
+    np.testing.assert_array_equal(read_labels_csv(out / "rows.csv"), [0, 0, 1, 1, 1, 1])
+    np.testing.assert_array_equal(read_labels_csv(out / "cols.csv"), [0, 1, 1, 1])
+
+
+def test_coot_feature_weights_from_csv(tmp_path, small_pair):
+    x, y = small_pair
+    vx = tmp_path / "vx.csv"
+    weights = np.array([0.5, 0.3, 0.2])
+    write_matrix_csv(vx, weights[:, None])
+    out = tmp_path / "vxcsv"
+    assert run(["coot", "--x", x, "--y", y, "--vx", vx, "--seed", "2", "--out", out]) == 0
+    plan = read_matrix_csv(out / "pi_v.csv")
+    np.testing.assert_allclose(plan.sum(axis=1), weights, atol=1e-9)
+
+
+def test_coot_column_mean_weighting_needs_positive_means(tmp_path, small_pair):
+    _, y = small_pair
+    x = tmp_path / "negcol.csv"
+    write_matrix_csv(x, np.array([[1.0, -2.0], [3.0, 1.0]]))
+    assert run(["coot", "--x", x, "--y", y, "--vx", "mean", "--seed", "2",
+                "--out", tmp_path / "negmean"]) == 3

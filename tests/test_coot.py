@@ -8,10 +8,13 @@ from coopt import (
     CootProblem,
     DimensionError,
     DomainError,
+    LOSSES,
     SQUARED_EUCLIDEAN,
     bap_oracle,
     coot_distance_checks,
     coot_objective,
+    hda_pipeline,
+    one_hot_labels,
     permutation_equal,
     random_coupling,
     sinkhorn,
@@ -19,6 +22,7 @@ from coopt import (
     uniform_histogram,
     validate_coupling,
 )
+from coopt.apps import class_mismatch_mask
 
 
 def test_solve_self_instance_reaches_zero():
@@ -226,3 +230,32 @@ def test_distance_checks_random_triples():
     assert report["max_symmetry_gap"] <= 1e-12
     assert report["triangle_violations"] == 0
     assert report["indiscernibles_ok"]
+
+
+@pytest.mark.parametrize("loss", ["sq", "abs", "kl"])
+def test_reported_cost_is_the_objective_of_the_returned_couplings(loss):
+    rng = np.random.default_rng(55)
+    X = rng.random((6, 4)) + 0.1
+    X2 = rng.random((5, 3)) + 0.1
+    problem = CootProblem(X, X2, loss=LOSSES[loss])
+    sol = solve_coot(problem, restarts=4, seed=2)
+    ps, pv = sol.sample_coupling.plan, sol.feature_coupling.plan
+    assert sol.cost == coot_objective(X, X2, ps, pv, LOSSES[loss])
+    assert sol.objective_trace[-1] == sol.cost
+
+
+def test_sample_cost_mask_stays_out_of_the_reported_cost():
+    # three class-0 sources but two class-0 targets: a quarter of the mass
+    # must cross a masked (class-mismatch) cell
+    rng = np.random.default_rng(56)
+    Xs = rng.random((4, 3))
+    Xt = rng.random((4, 2))
+    ys = np.array([0, 0, 0, 1])
+    yt = np.array([1, 1, 0, 0])
+    result = hda_pipeline(Xs, Xt, ys, target_labels=yt, restarts=3, seed=1)
+    sol = result.solution
+    ps, pv = sol.sample_coupling.plan, sol.feature_coupling.plan
+    mask = class_mismatch_mask(one_hot_labels(ys), one_hot_labels(yt))
+    assert np.sum(mask * ps) >= 0.25 - 1e-9
+    assert sol.cost == coot_objective(Xs, Xt, ps, pv, SQUARED_EUCLIDEAN)
+    assert sol.objective_trace[-1] == sol.cost

@@ -197,3 +197,13 @@ def test_dc_rejects_zero_restarts():
 def test_dc_rejects_non_square_matrices():
     with pytest.raises(DimensionError):
         solve_gw_dc(np.ones((3, 4)), np.ones((3, 4)))
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+def test_dc_cost_is_the_objective_of_the_returned_coupling(eps):
+    rng = np.random.default_rng(68)
+    C = sqeuclid_matrix(rng.random((5, 2)))
+    C2 = sqeuclid_matrix(rng.random((5, 2)))
+    sol = solve_gw_dc(C, C2, eps=eps, restarts=3, seed=4)
+    assert sol.cost == gw_objective(C, C2, sol.coupling.plan)
+    assert sol.objective_trace[-1] == sol.cost
