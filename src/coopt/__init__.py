@@ -25,7 +25,7 @@ from .core import (
     uniform_histogram,
     validate_coupling,
 )
-from .ot import OtResult, exact_ot, sinkhorn
+from .ot import OtResult, entropic_ot, exact_ot, sinkhorn
 from .tensorcost import (
     ContractedCost,
     Side,

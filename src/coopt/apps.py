@@ -106,8 +106,8 @@ def cocluster(
     refits the prototype; the loop stops when no prototype entry moves by
     more than 1e-8 or after ``outer_iter`` rounds. The loss is squared
     Euclidean (the refit, :func:`summary_update`, is its minimizer) and each
-    Sinkhorn call stops after at most 500 sweeps. All four weight vectors are
-    uniform.
+    entropic inner solve stops after at most 500 Newton steps. All four
+    weight vectors are uniform.
     """
     X = as_matrix(X, "X")
     n, d = X.shape

@@ -40,7 +40,8 @@ from .core import (
     marginal_residual,
     uniform_histogram,
 )
-from .ot import OtResult, exact_ot, sinkhorn
+from .ot import OtResult, entropic_ot, exact_ot
+from .ot import sinkhorn  # noqa: F401 -- wrapped by name in bench/spans.py
 from .tensorcost import Side, contract
 from .tensorcost import coot_objective  # noqa: F401 -- wrapped by name in bench/spans.py
 
@@ -64,13 +65,14 @@ class CootProblem:
     """Instance data plus solver knobs for one co-optimal transport solve.
 
     ``eps_samples``/``eps_features`` switch the corresponding inner update
-    between the exact LP (0) and Sinkhorn (> 0). ``sample_cost_mask`` is an
+    between the exact LP (0) and the entropic solve (> 0, by
+    :func:`~coopt.ot.entropic_ot`). ``sample_cost_mask`` is an
     optional 0/1 matrix added (scaled by ``mask_penalty``) to the sample-side
     contracted cost each iteration; ``mask_penalty`` is a finite number > 0,
     or None for auto: 1e3 times the max entry of the unmasked cost,
     recomputed per iteration. ``max_iter >= 0`` caps the outer iterations (0
     returns the starting couplings); ``sinkhorn_max_iter >= 1`` caps the
-    sweeps of each Sinkhorn call.
+    Newton steps of each entropic call.
     """
 
     X: np.ndarray
@@ -166,8 +168,8 @@ def _scale_to_marginals(plan: np.ndarray, w, wp) -> np.ndarray:
 
 def _inner_ot(w, wp, cost, eps, problem: CootProblem, warm) -> OtResult:
     if eps > 0:
-        return sinkhorn(w, wp, cost, eps, max_iter=problem.sinkhorn_max_iter,
-                        tol=problem.sinkhorn_tol, init_potentials=warm)
+        return entropic_ot(w, wp, cost, eps, max_iter=problem.sinkhorn_max_iter,
+                           tol=problem.sinkhorn_tol, init_potentials=warm)
     return exact_ot(w, wp, cost)
 
 

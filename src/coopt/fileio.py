@@ -59,8 +59,12 @@ def write_matrix_csv(path, matrix) -> None:
 
 
 def read_weights_csv(path) -> np.ndarray:
-    """Single-column CSV of nonnegative weights."""
-    return read_matrix_csv(path).reshape(-1)
+    """Single-column CSV of nonnegative weights, one per line; any other
+    shape raises ``ValueError``."""
+    matrix = read_matrix_csv(path)
+    if matrix.shape[1] != 1:
+        raise ValueError(f"{path}: weights must be a single column, got shape {matrix.shape}")
+    return matrix[:, 0]
 
 
 def read_labels_csv(path) -> np.ndarray:

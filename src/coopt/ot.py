@@ -1,13 +1,16 @@
 """Inner solvers for the discrete transport subproblems.
 
-Two entry points solve ``min <C, pi>`` over the transport polytope
+Three entry points solve ``min <C, pi>`` over the transport polytope
 ``Pi(w, w')``:
 
 * :func:`exact_ot`: LP-exact; the returned plan is a vertex of the polytope.
 * :func:`sinkhorn`: entropic smoothing with strength ``eps``, run entirely in
   the log domain so large ``C/eps`` ratios never surface as NaN or overflow.
+* :func:`entropic_ot`: the same entropic problem by Newton's method on the
+  semi-dual over the shorter side, with eps-continuation; it converges
+  where Sinkhorn crawls (tall-thin costs with large ``C/eps``).
 
-Both are pure functions and safe to call concurrently on distinct inputs.
+All are pure functions and safe to call concurrently on distinct inputs.
 """
 
 from __future__ import annotations
@@ -28,17 +31,17 @@ from .core import (
     marginal_residual,
 )
 
-__all__ = ["OtResult", "exact_ot", "sinkhorn"]
+__all__ = ["OtResult", "exact_ot", "sinkhorn", "entropic_ot"]
 
 
 @dataclass(frozen=True)
 class OtResult:
     """Solution of one transport subproblem.
 
-    ``cost`` is the linear part ``<C, plan>`` only; for :func:`sinkhorn` the
-    entropic term is excluded so values stay comparable across ``eps``.
-    ``potentials`` holds the final log-domain duals of a Sinkhorn run and can
-    warm-start a subsequent call on a nearby cost matrix.
+    ``cost`` is the linear part ``<C, plan>`` only; for the entropic solvers
+    the entropic term is excluded so values stay comparable across ``eps``.
+    ``potentials`` holds the final log-domain duals ``(f, g)`` of an entropic
+    run and can warm-start either entropic solver on a nearby cost matrix.
     """
 
     coupling: Coupling
@@ -160,6 +163,157 @@ def sinkhorn(
         cost,
         iterations=it,
         converged=converged,
+        marginal_error=err,
+        potentials=(f, g),
+    )
+
+
+# Newton on the semi-dual: the step is capped at _STEP_CAP * eps in sup-norm
+# (uncapped, the first steps of a large-C/eps instance overshoot into regions
+# where the plan saturates and the line search stalls); each continuation
+# stage divides eps by _STAGE_FACTOR, and stages above the target eps stop at
+# the loose residual _STAGE_TOL.
+_STEP_CAP = 8.0
+_STAGE_FACTOR = 4.0
+_STAGE_TOL = 1e-3
+_ARMIJO = 1e-4
+_MIN_STEP = 2.0**-30
+
+
+def _semi_dual(kernel, wl, log_ws, g, eps):
+    """Long-side potential ``f`` in closed form for the short-side ``g``, and
+    the plan the pair makes; its row sums are ``wl`` by construction."""
+    a = kernel + (log_ws + g / eps)[None, :]
+    top = a.max(axis=1, keepdims=True)
+    e = np.exp(a - top)
+    s = e.sum(axis=1, keepdims=True)
+    return -eps * (top[:, 0] + np.log(s[:, 0])), wl[:, None] * (e / s)
+
+
+def _newton_stage(C, wl, ws, eps, tol, g, budget, near=False):
+    """Ascend the concave semi-dual ``F(g) = <wl, f(g)> + <ws, g>`` at one eps
+    until the marginal residual is <= ``tol``, ``budget`` steps are taken or
+    the line search stalls; with ``near``, a step that has to be capped also
+    counts as a stall. ``g[-1]`` stays 0 (``F`` is flat along ones).
+
+    Returns ``(g, f, plan, steps, stalled)``.
+    """
+    kernel = -C / eps
+    log_ws = np.log(ws)
+    # keeps the solve defined where the plan saturates (each row on a single
+    # column) and the Hessian vanishes; the capped step then follows the gradient
+    ridge = 1e-12 * np.eye(ws.size - 1)
+    f, plan = _semi_dual(kernel, wl, log_ws, g, eps)
+    value = wl @ f + ws @ g
+    err = marginal_residual(plan, wl, ws)
+    steps = 0
+    while err > tol and steps < budget:
+        col = plan.sum(axis=0)
+        grad = ws - col
+        # -eps * Hessian of F: diag(P^T 1) - P^T diag(1/wl) P, positive semi-definite
+        hess = np.diag(col) - (plan / wl[:, None]).T @ plan
+        d = np.zeros_like(g)
+        d[:-1] = eps * np.linalg.solve(hess[:-1, :-1] + ridge, grad[:-1])
+        shrink = _STEP_CAP * eps / np.max(np.abs(d))
+        if shrink < 1.0:
+            if near:
+                return g, f, plan, steps, True
+            d *= shrink
+        slope = grad @ d
+        # F is summed from terms of size |f| and |g|; gains below that
+        # rounding count as none, and then the residual must fall
+        noise = 1e-14 * (wl @ np.abs(f) + ws @ np.abs(g))
+        t = 1.0
+        while True:
+            g_try = g + t * d
+            f_try, plan_try = _semi_dual(kernel, wl, log_ws, g_try, eps)
+            gain = wl @ f_try + ws @ g_try - value
+            err_try = marginal_residual(plan_try, wl, ws)
+            if gain >= _ARMIJO * t * slope or (gain >= -noise and err_try < err):
+                break
+            t /= 2.0
+            if t < _MIN_STEP:
+                return g, f, plan, steps, True
+        g, f, plan, value, err = g_try, f_try, plan_try, value + gain, err_try
+        steps += 1
+    return g, f, plan, steps, False
+
+
+def entropic_ot(
+    w,
+    wp,
+    C,
+    eps: float,
+    max_iter: int = 10000,
+    tol: float = 1e-9,
+    init_potentials: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+) -> OtResult:
+    """The entropic transport problem of :func:`sinkhorn`, solved by Newton's
+    method on the semi-dual over the shorter side.
+
+    The longer side's potential is the closed-form log-sum-exp of the
+    shorter side's, so that marginal holds by construction and a smooth
+    concave problem in ``min(n, m)`` variables is left (Cuturi & Peyre, SIAM
+    J. Imaging Sci. 2016). Its Hessian is ``min(n, m)`` square and built in
+    ``O(n m min(n, m))``; steps use an Armijo line search and are capped at a
+    few ``eps`` in sup-norm. Cold starts run eps-continuation: eps starts at
+    ``max(C) - min(C)`` and falls 4x per stage down to ``eps``, carrying the
+    potential across stages. Warm potentials are tried at ``eps`` first; the
+    continuation takes over if the line search stalls or a step has to be
+    capped, since a warm start that far off takes more capped steps than the
+    continuation takes stages. A side of size 1 and a constant cost have
+    closed-form plans.
+
+    The contract is :func:`sinkhorn`'s: ``cost`` is ``<C, plan>``;
+    ``converged`` means the L1 marginal residual ``marginal_error`` is <=
+    ``tol``; ``potentials`` are ``(f, g)`` with ``pi_ij = w_i w'_j exp((f_i +
+    g_j - C_ij) / eps)``, so they warm-start either solver. ``iterations``
+    counts Newton steps over all stages, at most ``max_iter`` (>= 1).
+    """
+    w, wp, C = _check_inputs(w, wp, C)
+    if eps <= 0:
+        raise DomainError(f"entropic_ot needs eps > 0, got {eps}")
+    if max_iter < 1:
+        raise DomainError(f"entropic_ot needs max_iter >= 1, got {max_iter}")
+    if init_potentials is not None:
+        shapes = tuple(np.shape(p) for p in init_potentials)
+        if shapes != (w.shape, wp.shape):
+            raise DimensionError(f"warm potentials {shapes} do not match weights "
+                                 f"({w.size},) and ({wp.size},)")
+    flip = C.shape[0] < C.shape[1]
+    # rows of Cl are the long side, columns (potential g) the short side
+    wl, ws, Cl = (wp, w, C.T) if flip else (w, wp, C)
+    spread = float(Cl.max() - Cl.min())
+    steps = 0
+    if ws.size == 1 or spread == 0.0:
+        g = np.zeros(ws.size)
+        f = _semi_dual(-Cl / eps, wl, np.log(ws), g, eps)[0]
+        plan = np.outer(wl, ws)
+    else:
+        stalled = True
+        if init_potentials is not None:
+            g = np.array(init_potentials[0 if flip else 1], dtype=np.float64)
+            g, f, plan, steps, stalled = _newton_stage(
+                Cl, wl, ws, eps, tol, g - g[-1], max_iter, near=True)
+        if stalled:
+            g = np.zeros(ws.size)
+            stage_eps = spread
+            while stage_eps > eps:
+                g, f, plan, taken, _ = _newton_stage(
+                    Cl, wl, ws, stage_eps, max(tol, _STAGE_TOL), g, max_iter - steps)
+                steps += taken
+                stage_eps /= _STAGE_FACTOR
+            g, f, plan, taken, _ = _newton_stage(Cl, wl, ws, eps, tol, g, max_iter - steps)
+            steps += taken
+    if flip:
+        f, g, plan = g, f, plan.T
+    plan = np.ascontiguousarray(plan)
+    err = marginal_residual(plan, w, wp)
+    return OtResult(
+        Coupling(plan, w, wp),
+        float(np.sum(C * plan)),
+        iterations=steps,
+        converged=err <= tol,
         marginal_error=err,
         potentials=(f, g),
     )

@@ -292,6 +292,23 @@ def test_hda_pipeline_semisupervised_mask_keeps_accuracy():
     np.testing.assert_array_equal(result.labels, truth)
 
 
+def test_entropic_masked_hda_inner_solves_converge(entropic_calls):
+    """The auto penalty prices masked cells at 1e3 x the largest unmasked
+    cost, so C/eps runs into the thousands."""
+    rng = np.random.default_rng(4)
+    ys = np.repeat(np.arange(4), 10)
+    Xs = rng.normal(0.0, 3.0, (4, 10))[ys] + rng.normal(size=(40, 10))
+    sigma = rng.permutation(40)
+    Xt = Xs[sigma][:, rng.permutation(10)]
+    partial = np.full(40, -1)
+    known = rng.choice(40, 5, replace=False)
+    partial[known] = ys[sigma][known]
+    result = hda_pipeline(Xs, Xt, ys, target_labels=partial, eps1=0.1, eps2=0.1,
+                          restarts=2, seed=0)
+    assert entropic_calls and all(res.converged for res in entropic_calls)
+    np.testing.assert_array_equal(result.labels, ys[sigma])
+
+
 def test_class_mismatch_mask_shape_check():
     with pytest.raises(DimensionError):
         class_mismatch_mask(one_hot_labels([0, 1]), one_hot_labels([2]))
@@ -371,3 +388,10 @@ def test_cocluster_summary_is_the_refit_of_the_final_plans():
     sol = result.solution
     refit = summary_update(X, sol.sample_coupling.plan, sol.feature_coupling.plan)
     assert np.array_equal(result.summary, refit)
+
+
+def test_cocluster_entropic_inner_solves_converge_on_d1(entropic_calls):
+    X, rows, cols = generate_blocks(BLOCK_PRESETS["D1"], seed=0)
+    result = cocluster(X, 3, 3, seed=0)
+    assert entropic_calls and all(res.converged for res in entropic_calls)
+    assert cce(result.row_labels, rows, result.col_labels, cols) == 0.0

@@ -118,6 +118,14 @@ def test_gen_then_cocluster_with_truth(tmp_path):
     assert read_matrix_csv(out / "xc.csv").shape == (2, 4)
 
 
+def test_gen_then_cocluster_inner_solves_converge(tmp_path, entropic_calls):
+    data = tmp_path / "d3"
+    assert run(["gen", "--preset", "D3", "--seed", "1", "--out", data]) == 0
+    assert run(["cocluster", "--x", data / "X.csv", "-g", "2", "-m", "4",
+                "--truth", data, "--seed", "1", "--out", tmp_path / "cc"]) == 0
+    assert entropic_calls and all(res.converged for res in entropic_calls)
+
+
 def test_election_identical_files_cost_zero(tmp_path):
     e = tmp_path / "e1.csv"
     write_matrix_csv(e, np.array([[1, 2, 3], [3, 1, 2], [2, 3, 1]], dtype=float))
@@ -407,3 +415,13 @@ def test_coot_column_mean_weighting_needs_positive_means(tmp_path, small_pair):
     write_matrix_csv(x, np.array([[1.0, -2.0], [3.0, 1.0]]))
     assert run(["coot", "--x", x, "--y", y, "--vx", "mean", "--seed", "2",
                 "--out", tmp_path / "negmean"]) == 3
+
+
+def test_coot_weights_file_must_be_a_single_column(tmp_path, small_pair):
+    x, y = small_pair  # 4x3 and 5x4
+    w22 = tmp_path / "w22.csv"
+    write_matrix_csv(w22, np.full((2, 2), 0.25))
+    assert run(["coot", "--x", x, "--y", y, "--wx", w22, "--seed", "2",
+                "--out", tmp_path / "wx"]) == 2
+    assert run(["coot", "--x", y, "--y", x, "--vx", w22, "--seed", "2",
+                "--out", tmp_path / "vx"]) == 2

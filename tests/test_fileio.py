@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from coopt.fileio import read_labels_csv, read_matrix_csv
+from coopt.fileio import read_labels_csv, read_matrix_csv, read_weights_csv
 
 
 def test_matrix_csv_skips_blank_lines(tmp_path):
@@ -44,3 +44,14 @@ def test_labels_csv_empty_file(tmp_path):
     path.write_text("")
     with pytest.raises(ValueError, match="empty label file"):
         read_labels_csv(path)
+
+
+@pytest.mark.parametrize("text, shape", [("0.25,0.25\n0.25,0.25\n", r"\(2, 2\)"),
+                                         ("0.25,0.25,0.25,0.25\n", r"\(1, 4\)")],
+                         ids=["2x2", "1x4"])
+def test_weights_csv_must_be_a_single_column(tmp_path, text, shape):
+    path = tmp_path / "w.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=r"w\.csv: weights must be a single column, got shape "
+                       + shape):
+        read_weights_csv(path)

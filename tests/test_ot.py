@@ -10,6 +10,7 @@ from scipy.optimize import linprog
 from coopt import (
     DimensionError,
     DomainError,
+    entropic_ot,
     exact_ot,
     sinkhorn,
     uniform_histogram,
@@ -221,3 +222,106 @@ def test_sinkhorn_rejects_zero_max_iter():
     u = uniform_histogram(2)
     with pytest.raises(DomainError):
         sinkhorn(u, u, np.eye(2), eps=1.0, max_iter=0)
+
+
+def _random_weights(rng, n):
+    w = rng.uniform(0.1, 1, n)
+    return w / w.sum()
+
+
+@pytest.mark.parametrize("shape", [(4, 9), (9, 4), (7, 7), (30, 2)],
+                         ids=["n<m", "n>m", "n=m", "30x2"])
+def test_entropic_ot_agrees_with_converged_sinkhorn(shape):
+    rng = np.random.default_rng(list(shape))
+    w, wp = _random_weights(rng, shape[0]), _random_weights(rng, shape[1])
+    C = 3.0 * rng.random(shape)
+    for eps in (1.0, 0.1):
+        ref = sinkhorn(w, wp, C, eps=eps, max_iter=100000, tol=1e-13)
+        res = entropic_ot(w, wp, C, eps=eps, tol=1e-13)
+        assert ref.converged and res.converged
+        assert res.marginal_error <= 1e-13
+        np.testing.assert_allclose(res.coupling.plan, ref.coupling.plan, atol=1e-10, rtol=0)
+        assert abs(res.cost - ref.cost) <= 1e-10
+        assert res.cost == float(np.sum(C * res.coupling.plan))
+
+
+def _tall_thin_cost():
+    """600 points on [0, 1] against 3 centres, squared distance x 100."""
+    x = np.random.default_rng(41).random(600)
+    return 100.0 * (x[:, None] - np.array([0.0, 0.5, 1.0])[None, :]) ** 2
+
+
+def test_entropic_ot_converges_on_tall_thin_cost_with_large_ratio():
+    C = _tall_thin_cost()
+    w, wp = uniform_histogram(600), uniform_histogram(3)
+    eps = 0.05
+    assert C.max() / eps >= 1000
+    assert not sinkhorn(w, wp, C, eps=eps, max_iter=500).converged
+    res = entropic_ot(w, wp, C, eps=eps, max_iter=500, tol=1e-9)
+    assert res.converged and res.marginal_error <= 1e-9
+    assert res.iterations <= 500
+    assert validate_coupling(res.coupling.plan, w, wp, 1e-9)
+
+
+@pytest.mark.parametrize("shape", [(5, 8), (600, 3)], ids=["5x8", "600x3"])
+def test_entropic_ot_swapping_sides_transposes_the_plan(shape):
+    rng = np.random.default_rng(list(shape))
+    w, wp = _random_weights(rng, shape[0]), _random_weights(rng, shape[1])
+    C = 20.0 * rng.random(shape)
+    res = entropic_ot(w, wp, C, eps=0.05)
+    swapped = entropic_ot(wp, w, C.T, eps=0.05)
+    assert res.converged and swapped.converged
+    assert np.array_equal(swapped.coupling.plan, res.coupling.plan.T)
+    np.testing.assert_array_equal(swapped.potentials[0], res.potentials[1])
+    np.testing.assert_array_equal(swapped.potentials[1], res.potentials[0])
+
+
+def test_entropic_ot_restarts_from_its_own_potentials_in_one_step():
+    C = _tall_thin_cost()
+    w, wp = uniform_histogram(600), uniform_histogram(3)
+    cold = entropic_ot(w, wp, C, eps=0.05)
+    warm = entropic_ot(w, wp, C, eps=0.05, init_potentials=cold.potentials)
+    assert warm.converged and warm.iterations <= 1
+    # the potentials are in Sinkhorn's convention, so they warm-start it too
+    resumed = sinkhorn(w, wp, C, eps=0.05, init_potentials=cold.potentials)
+    assert resumed.converged and resumed.iterations == 1
+
+
+def test_entropic_ot_degenerate_inputs():
+    rng = np.random.default_rng(43)
+    w, wp = _random_weights(rng, 3), _random_weights(rng, 4)
+    for eps in (0.01, 10.0):
+        res = entropic_ot(w, wp, np.full((3, 4), 7.3), eps=eps)
+        assert np.array_equal(res.coupling.plan, np.outer(w, wp))
+        assert res.converged and res.cost == pytest.approx(7.3, rel=1e-15)
+    one = uniform_histogram(1)
+    row = entropic_ot(one, wp, rng.random((1, 4)), eps=0.1)
+    assert np.array_equal(row.coupling.plan, wp[None, :]) and row.converged
+    col = entropic_ot(w, one, rng.random((3, 1)), eps=0.1)
+    assert np.array_equal(col.coupling.plan, w[:, None]) and col.converged
+    big = 1e8 * rng.random((6, 5))
+    w6, w5 = _random_weights(rng, 6), _random_weights(rng, 5)
+    for eps in (1e7, 1e5):
+        res = entropic_ot(w6, w5, big, eps=eps)
+        assert res.converged and np.all(np.isfinite(res.coupling.plan))
+        ref = sinkhorn(w6, w5, big, eps=eps, max_iter=100000, tol=1e-12)
+        assert ref.converged
+        np.testing.assert_allclose(res.coupling.plan, ref.coupling.plan, atol=1e-10, rtol=0)
+
+
+def test_entropic_ot_rejects_bad_eps_and_max_iter():
+    u = uniform_histogram(2)
+    for eps in (0.0, -1.0):
+        with pytest.raises(DomainError):
+            entropic_ot(u, u, np.eye(2), eps=eps)
+    with pytest.raises(DomainError):
+        entropic_ot(u, u, np.eye(2), eps=1.0, max_iter=0)
+
+
+def test_entropic_ot_rejects_warm_potentials_of_the_wrong_length():
+    w, wp = uniform_histogram(4), uniform_histogram(3)
+    with pytest.raises(DimensionError):
+        entropic_ot(w, wp, np.ones((4, 3)), eps=0.1, init_potentials=(np.zeros(4), np.zeros(1)))
+    with pytest.raises(DimensionError):
+        entropic_ot(w, wp, np.ones((4, 3)), eps=0.1, init_potentials=(np.zeros(3), np.zeros(4)))
+
