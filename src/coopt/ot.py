@@ -19,8 +19,9 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment, linprog
-from scipy.sparse import csc_array
+from scipy.optimize import linear_sum_assignment
+from scipy.optimize import linprog  # noqa: F401 -- wrapped by name in bench/spans.py
+from scipy.optimize._highspy import _core as highs
 
 from .core import (
     Coupling,
@@ -61,8 +62,55 @@ def _check_inputs(w, wp, C):
     return w, wp, C
 
 
+def _check_potentials(potentials, w, wp):
+    """Warm potentials ``(f, g)``, when given, must match the weights' shapes."""
+    if potentials is not None:
+        shapes = tuple(np.shape(p) for p in potentials)
+        if shapes != (w.shape, wp.shape):
+            raise DimensionError(f"warm potentials {shapes} do not match weights "
+                                 f"({w.size},) and ({wp.size},)")
+
+
 def _is_uniform_square(w: np.ndarray, wp: np.ndarray) -> bool:
     return w.size == wp.size and np.all(w == w[0]) and np.all(wp == w[0])
+
+
+def _transport_lp(w: np.ndarray, wp: np.ndarray, C: np.ndarray) -> Tuple[np.ndarray, int]:
+    """Vertex plan of the transport LP by HiGHS dual simplex, and its iteration count.
+
+    The marginal equalities, less the redundant last column sum, are the
+    incidence matrix of a bipartite graph: column ``i*m + j`` has a 1 in rows
+    ``i`` and ``n + j``, except the dropped row ``n + m - 1``. It goes to HiGHS
+    column-wise through the array form of ``passModel``, as ``linprog(...,
+    method="highs-ds")`` builds it, so plans and iteration counts are the
+    same.
+    """
+    n, m = C.shape
+    i, j = np.divmod(np.arange(n * m, dtype=np.int32), np.int32(m))
+    index = np.column_stack([i, n + j]).ravel()
+    index = index[index < n + m - 1]
+    start = np.zeros(n * m + 1, dtype=np.int32)
+    np.cumsum(np.where(j < m - 1, 2, 1), out=start[1:])
+    b = np.concatenate([w, wp[:-1]])
+    h = highs._Highs()
+    h.setOptionValue("output_flag", False)
+    h.setOptionValue("presolve", "off")
+    h.setOptionValue("solver", "simplex")
+    h.setOptionValue("simplex_strategy",
+                     highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+    # integrality must be given per column; an empty array is rejected
+    passed = h.passModel(n * m, n + m - 1, index.size, highs.MatrixFormat.kColwise,
+                         highs.ObjSense.kMinimize, 0.0, C.ravel(), np.zeros(n * m),
+                         np.full(n * m, np.inf), b, b, start, index, np.ones(index.size),
+                         np.zeros(n * m, dtype=np.int32))
+    if passed == highs.HighsStatus.kError:
+        raise DomainError("exact transport LP failed: HiGHS rejected the model")
+    h.run()
+    status = h.getModelStatus()
+    if status != highs.HighsModelStatus.kOptimal:
+        raise DomainError(f"exact transport LP failed: {h.modelStatusToString(status)}")
+    x = np.asarray(h.getSolution().col_value)
+    return x.reshape(n, m), h.getInfo().simplex_iteration_count
 
 
 def exact_ot(w, wp, C) -> OtResult:
@@ -70,11 +118,12 @@ def exact_ot(w, wp, C) -> OtResult:
 
     Uniform square instances dispatch to the Hungarian algorithm (the optimal
     vertex is a permutation matrix scaled by 1/n); everything else goes
-    through the HiGHS dual simplex, which also returns a basic (vertex)
-    solution. The marginal equalities, less the redundant last column sum,
-    are the incidence matrix of a bipartite graph: two nonzeros per column,
-    so they are built sparse (dense, they take (n+m-1) x nm floats). HiGHS
-    presolve is off: on these LPs it costs more time than it saves.
+    through HiGHS dual simplex with presolve off, which also returns a basic
+    (vertex) solution. The constraint matrix is sparse, two nonzeros per
+    column, and goes straight to scipy's bundled HiGHS binding (scipy >=
+    1.17): ``linprog``'s validation and result assembly would cost about as
+    much as the solve. The solve runs outside the interpreter lock, so
+    restarts on threads overlap in it.
     """
     w, wp, C = _check_inputs(w, wp, C)
     n, m = C.shape
@@ -85,20 +134,11 @@ def exact_ot(w, wp, C) -> OtResult:
         cost = float(np.sum(C * plan))
         return OtResult(Coupling(plan, w, wp), cost, iterations=1, converged=True)
 
-    # Column i*m + j has a 1 in rows i and n + j, except the dropped row n + m - 1.
-    i, j = np.divmod(np.arange(n * m), m)
-    rows = np.column_stack([i, n + j]).ravel()
-    indptr = np.concatenate([[0], np.cumsum(np.where(j < m - 1, 2, 1))])
-    a_eq = csc_array((np.ones(indptr[-1]), rows[rows < n + m - 1], indptr),
-                     shape=(n + m - 1, n * m))
-    res = linprog(C.ravel(), A_eq=a_eq, b_eq=np.concatenate([w, wp[:-1]]), method="highs-ds",
-                  options={"presolve": False})
-    if res.status != 0:
-        raise DomainError(f"exact transport LP failed: {res.message}")
-    plan = np.maximum(res.x.reshape(n, m), 0.0)
+    x, nit = _transport_lp(w, wp, C)
+    plan = np.maximum(x, 0.0)
     cost = float(np.sum(C * plan))
     coupling = Coupling(plan, w, wp)
-    return OtResult(coupling, cost, iterations=int(res.nit), converged=True,
+    return OtResult(coupling, cost, iterations=int(nit), converged=True,
                     marginal_error=coupling.marginal_error())
 
 
@@ -140,6 +180,7 @@ def sinkhorn(
         raise DomainError(f"sinkhorn needs eps > 0, got {eps}")
     if max_iter < 1:
         raise DomainError(f"sinkhorn needs max_iter >= 1, got {max_iter}")
+    _check_potentials(init_potentials, w, wp)
     log_w = np.log(w)
     log_wp = np.log(wp)
     kernel = -C / eps
@@ -275,11 +316,7 @@ def entropic_ot(
         raise DomainError(f"entropic_ot needs eps > 0, got {eps}")
     if max_iter < 1:
         raise DomainError(f"entropic_ot needs max_iter >= 1, got {max_iter}")
-    if init_potentials is not None:
-        shapes = tuple(np.shape(p) for p in init_potentials)
-        if shapes != (w.shape, wp.shape):
-            raise DimensionError(f"warm potentials {shapes} do not match weights "
-                                 f"({w.size},) and ({wp.size},)")
+    _check_potentials(init_potentials, w, wp)
     flip = C.shape[0] < C.shape[1]
     # rows of Cl are the long side, columns (potential g) the short side
     wl, ws, Cl = (wp, w, C.T) if flip else (w, wp, C)

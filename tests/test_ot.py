@@ -2,6 +2,7 @@
 
 import itertools
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -129,6 +130,27 @@ def test_exact_ot_sparse_constraints_match_dense_reference(shape, uniform):
         assert res.iterations == nit, name
 
 
+def test_exact_ot_on_threads_matches_serial_calls():
+    """The LP solve runs outside the interpreter lock, so restarts on threads
+    overlap in it; concurrent solves must give the serial plans bit for bit."""
+    rng = np.random.default_rng(37)
+    shapes = [(200, 150), (150, 200), (120, 90), (90, 120), (60, 45), (45, 60), (40, 30),
+              (30, 40), (25, 20), (20, 25), (15, 12), (12, 15), (10, 8), (8, 10), (9, 5),
+              (5, 9), (7, 4), (4, 7), (7, 4), (4, 7)]
+    instances = []
+    for k, (n, m) in enumerate(shapes):
+        w, wp = rng.uniform(0.1, 1, n), rng.uniform(0.1, 1, m)
+        # every other cost is integer-valued in {0, .., 3}, so ties abound
+        C = rng.integers(0, 4, (n, m)).astype(float) if k % 2 else rng.random((n, m))
+        instances.append((w / w.sum(), wp / wp.sum(), C))
+    serial = [exact_ot(*args) for args in instances]
+    with ThreadPoolExecutor(2) as pool:
+        threaded = list(pool.map(lambda args: exact_ot(*args), instances))
+    for k, (a, b) in enumerate(zip(serial, threaded)):
+        assert np.array_equal(a.coupling.plan, b.coupling.plan), shapes[k]
+        assert a.iterations == b.iterations, shapes[k]
+
+
 def test_exact_ot_memory_stays_small_at_300x200():
     """A dense constraint matrix alone would take 499 x 60000 floats (240 MB)."""
     rng = np.random.default_rng(31)
@@ -222,6 +244,14 @@ def test_sinkhorn_rejects_zero_max_iter():
     u = uniform_histogram(2)
     with pytest.raises(DomainError):
         sinkhorn(u, u, np.eye(2), eps=1.0, max_iter=0)
+
+
+def test_sinkhorn_rejects_warm_potentials_of_the_wrong_length():
+    w, wp = uniform_histogram(4), uniform_histogram(3)
+    with pytest.raises(DimensionError):
+        sinkhorn(w, wp, np.ones((4, 3)), eps=0.1, init_potentials=(np.zeros(4), np.zeros(1)))
+    with pytest.raises(DimensionError):
+        sinkhorn(w, wp, np.ones((4, 3)), eps=0.1, init_potentials=(np.zeros(3), np.zeros(4)))
 
 
 def _random_weights(rng, n):
