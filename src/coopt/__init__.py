@@ -28,6 +28,7 @@ from .core import (
 from .ot import OtResult, entropic_ot, exact_ot, sinkhorn
 from .tensorcost import (
     ContractedCost,
+    PreparedContraction,
     Side,
     contract,
     contract_factored,

@@ -37,13 +37,12 @@ from .core import (
     SQUARED_EUCLIDEAN,
     as_histogram,
     as_matrix,
-    marginal_residual,
     uniform_histogram,
 )
 from .ot import OtResult, entropic_ot, exact_ot
 from .ot import sinkhorn  # noqa: F401 -- wrapped by name in bench/spans.py
-from .tensorcost import Side, contract
-from .tensorcost import coot_objective  # noqa: F401 -- wrapped by name in bench/spans.py
+from .tensorcost import PreparedContraction, Side
+from .tensorcost import contract, coot_objective  # noqa: F401 -- wrapped by name in bench/spans.py
 
 __all__ = [
     "CootProblem",
@@ -72,7 +71,9 @@ class CootProblem:
     or None for auto: 1e3 times the max entry of the unmasked cost,
     recomputed per iteration. ``max_iter >= 0`` caps the outer iterations (0
     returns the starting couplings); ``sinkhorn_max_iter >= 1`` caps the
-    Newton steps of each entropic call.
+    Newton steps of each entropic call. The entropic strengths must be finite
+    and ``tol`` (on the feature coupling's change per iteration) must be >= 0;
+    NaN fails both.
     """
 
     X: np.ndarray
@@ -102,8 +103,11 @@ class CootProblem:
         vp = uniform_histogram(d2) if self.vp is None else as_histogram(self.vp, "v'")
         if (w.size, v.size) != (n, d) or (wp.size, vp.size) != (n2, d2):
             raise DimensionError("weight lengths do not match matrix dimensions")
-        if self.eps_samples < 0 or self.eps_features < 0:
-            raise DomainError("entropic strengths must be >= 0")
+        if not (0 <= self.eps_samples < np.inf and 0 <= self.eps_features < np.inf):
+            raise DomainError("entropic strengths must be finite and >= 0, got "
+                              f"{self.eps_samples} and {self.eps_features}")
+        if not self.tol >= 0:
+            raise DomainError(f"tol must be >= 0, got {self.tol}")
         if self.max_iter < 0 or self.sinkhorn_max_iter < 1:
             raise DomainError("need max_iter >= 0 and sinkhorn_max_iter >= 1, got "
                               f"{self.max_iter} and {self.sinkhorn_max_iter}")
@@ -152,18 +156,60 @@ def random_coupling(w, wp, rng: np.random.Generator) -> np.ndarray:
     """
     w = as_histogram(w, "w")
     wp = as_histogram(wp, "w'")
-    plan = np.outer(w, wp) * rng.lognormal(0.0, 2.0, (w.size, wp.size))
-    return _scale_to_marginals(plan, w, wp)
+    return _scale_to_marginals(_perturbed(w, wp, rng)[None], w, wp)[0]
 
 
-def _scale_to_marginals(plan: np.ndarray, w, wp) -> np.ndarray:
-    plan = np.array(plan, dtype=np.float64)
+def _perturbed(w: np.ndarray, wp: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    return np.outer(w, wp) * rng.lognormal(0.0, 2.0, (w.size, wp.size))
+
+
+def _scale_to_marginals(plans: np.ndarray, w: np.ndarray, wp: np.ndarray) -> np.ndarray:
+    """Scale each plan of the ``(R, n, m)`` stack onto the marginals, in place.
+
+    Rows, then columns, per sweep, until the plan's L1 marginal residual is
+    <= 1e-13 or 500 sweeps. A plan that has stopped is multiplied by exactly
+    1.0 from then on, so every plan ends bitwise where it would stop alone,
+    and the stack is never copied.
+    """
+    rows = plans.sum(axis=2)
+    active = np.ones(len(plans), dtype=bool)
     for _ in range(500):
-        plan *= (w / plan.sum(axis=1))[:, None]
-        plan *= (wp / plan.sum(axis=0))[None, :]
-        if marginal_residual(plan, w, wp) <= 1e-13:
+        if not active.any():
             break
-    return plan
+        factor = w / rows
+        factor[~active] = 1.0
+        plans *= factor[:, :, None]
+        factor = wp / plans.sum(axis=1)
+        factor[~active] = 1.0
+        plans *= factor[:, None, :]
+        rows = plans.sum(axis=2)
+        # core.marginal_residual of each plan
+        residual = np.abs(rows - w).sum(axis=1) + np.abs(plans.sum(axis=1) - wp).sum(axis=1)
+        active &= ~(residual <= 1e-13)
+    return plans
+
+
+def _starts(problem: CootProblem, restarts: int, seed: int, tied: bool) -> list:
+    """Start couplings in restart order (see :func:`_best_restart`), None for
+    the product coupling. The noise is drawn in the order of one
+    :func:`random_coupling` per plan, sample side first, and each side's
+    plans are projected in one stack."""
+    w, wp, v, vp = problem.w, problem.wp, problem.v, problem.vp
+    biased = int(tied and w.size == wp.size and restarts > 1)
+    seeded = restarts - 1 - biased
+    sample = np.empty((biased + seeded, w.size, wp.size))
+    feature = np.empty((0 if tied else seeded, v.size, vp.size))
+    if biased:
+        sample[0] = np.eye(w.size) * w.size + 1.0
+    for r in range(1, seeded + 1):
+        rng = np.random.default_rng([seed, r])
+        sample[biased + r - 1] = _perturbed(w, wp, rng)
+        if not tied:
+            feature[r - 1] = _perturbed(v, vp, rng)
+    _scale_to_marginals(sample, w, wp)
+    _scale_to_marginals(feature, v, vp)
+    pairs = [(ps, ps) for ps in sample] if tied else list(zip(sample, feature))
+    return [None] + pairs
 
 
 def _inner_ot(w, wp, cost, eps, problem: CootProblem, warm) -> OtResult:
@@ -189,7 +235,7 @@ def _solve_single(problem: CootProblem,
     # tied: one coupling on both slots (GW), no feature half-step. ``cost`` is
     # the sample-side contraction of ``pv``: it prices the sample step and,
     # summed against ``ps``, is the objective.
-    X, X2, loss = problem.X, problem.X2, problem.loss
+    contraction = PreparedContraction(problem.X, problem.X2, problem.loss)
     w, wp, v, vp = problem.w, problem.wp, problem.v, problem.vp
     if init is None:
         ps = np.outer(w, wp)
@@ -199,24 +245,24 @@ def _solve_single(problem: CootProblem,
         pv = np.array(init[1], dtype=np.float64)
     if tied:
         pv = ps
-    cost = contract(X, X2, pv, loss, Side.SAMPLE)
-    trace = [float(np.sum(cost * ps))]
+    cost = contraction.contract(pv, Side.SAMPLE)
+    trace = [float((cost * ps).sum())]
     warm_v = warm_s = None
     iterations = 0
     converged = False
     for _ in range(problem.max_iter):
         pv_prev = pv
         if not tied:
-            feat_cost = contract(X, X2, ps, loss, Side.FEATURE)
+            feat_cost = contraction.contract(ps, Side.FEATURE)
             res_v = _inner_ot(v, vp, feat_cost, problem.eps_features, problem, warm_v)
             pv, warm_v = res_v.coupling.plan, res_v.potentials
-            cost = contract(X, X2, pv, loss, Side.SAMPLE)
+            cost = contraction.contract(pv, Side.SAMPLE)
         res_s = _inner_ot(w, wp, _masked(cost, problem), problem.eps_samples, problem, warm_s)
         ps, warm_s = res_s.coupling.plan, res_s.potentials
         if tied:
             pv = ps
-            cost = contract(X, X2, pv, loss, Side.SAMPLE)
-        trace.append(float(np.sum(cost * ps)))
+            cost = contraction.contract(pv, Side.SAMPLE)
+        trace.append(float((cost * ps).sum()))
         iterations += 1
         if float(np.linalg.norm(pv - pv_prev)) <= problem.tol:
             converged = True
@@ -242,17 +288,7 @@ def _best_restart(problem: CootProblem, restarts: int, seed: int,
         raise DomainError("restarts must be >= 1")
     if jobs < 1:
         raise DomainError("jobs must be >= 1")
-    w, wp = problem.w, problem.wp
-    starts = [None]
-    if tied and w.size == wp.size and restarts > 1:
-        plan = _scale_to_marginals(np.eye(w.size) * w.size + 1.0, w, wp)
-        starts.append((plan, plan))
-    r = 1
-    while len(starts) < restarts:
-        rng = np.random.default_rng([seed, r])
-        ps = random_coupling(w, wp, rng)
-        starts.append((ps, ps if tied else random_coupling(problem.v, problem.vp, rng)))
-        r += 1
+    starts = _starts(problem, restarts, seed, tied)
 
     def run(indexed):
         return _solve_single(problem, indexed[1], indexed[0], tied)

@@ -56,9 +56,9 @@ class ConfigError(CooptError):
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Return ``a`` as a finite float64 2-D array with at least one row and column."""
     m = np.asarray(a, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
+    if m.ndim != 2 or m.size < 1:
         raise DimensionError(f"{name}: expected a non-empty 2-D array, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise DomainError(f"{name}: entries must be finite (no NaN/Inf)")
     return m
 
@@ -72,13 +72,18 @@ def as_histogram(a, name: str = "weights") -> np.ndarray:
     h = np.asarray(a, dtype=np.float64)
     if h.ndim != 1 or h.size < 1:
         raise DimensionError(f"{name}: expected a non-empty 1-D array, got shape {h.shape}")
-    if not np.all(np.isfinite(h)):
+    # a valid histogram passes on one min and one sum (NaN fails the min's
+    # test, +inf the sum's); the checks below only pick the error, and
+    # reaching the last one means the sum was taken
+    if h.min() > 0:
+        total = h.sum()
+        if abs(total - 1.0) <= 1e-12:
+            return h
+    if not np.isfinite(h).all():
         raise DomainError(f"{name}: entries must be finite")
-    if np.any(h <= 0):
+    if h.min() <= 0:
         raise DomainError(f"{name}: entries must be strictly positive")
-    if abs(h.sum() - 1.0) > 1e-12:
-        raise DomainError(f"{name}: entries must sum to 1 (got {h.sum()!r})")
-    return h
+    raise DomainError(f"{name}: entries must sum to 1 (got {total!r})")
 
 
 def uniform_histogram(n: int) -> np.ndarray:
@@ -190,7 +195,7 @@ class Coupling:
             raise DimensionError(
                 f"coupling plan {plan.shape} does not match marginals ({w.size}, {wp.size})"
             )
-        if np.any(plan < 0):
+        if plan.min() < 0:  # as_matrix has ruled out NaN
             raise DomainError("coupling plan must be nonnegative")
         object.__setattr__(self, "plan", plan)
         object.__setattr__(self, "row_marginal", w)

@@ -72,7 +72,7 @@ def _check_potentials(potentials, w, wp):
 
 
 def _is_uniform_square(w: np.ndarray, wp: np.ndarray) -> bool:
-    return w.size == wp.size and np.all(w == w[0]) and np.all(wp == w[0])
+    return w.size == wp.size and (w == w[0]).all() and (wp == w[0]).all()
 
 
 def _transport_lp(w: np.ndarray, wp: np.ndarray, C: np.ndarray) -> Tuple[np.ndarray, int]:
@@ -131,12 +131,12 @@ def exact_ot(w, wp, C) -> OtResult:
         rows, cols = linear_sum_assignment(C)
         plan = np.zeros((n, m))
         plan[rows, cols] = w[0]
-        cost = float(np.sum(C * plan))
+        cost = float((C * plan).sum())
         return OtResult(Coupling(plan, w, wp), cost, iterations=1, converged=True)
 
     x, nit = _transport_lp(w, wp, C)
     plan = np.maximum(x, 0.0)
-    cost = float(np.sum(C * plan))
+    cost = float((C * plan).sum())
     coupling = Coupling(plan, w, wp)
     return OtResult(coupling, cost, iterations=int(nit), converged=True,
                     marginal_error=coupling.marginal_error())
@@ -165,7 +165,7 @@ def sinkhorn(
 
     Parameters
     ----------
-    eps : regularization strength, > 0.
+    eps : regularization strength, finite and > 0.
     max_iter : cap on full (row, column) update sweeps, >= 1.
     tol : L1 marginal residual target.
     init_potentials : optional ``(f, g)`` warm start from a previous run.
@@ -176,7 +176,7 @@ def sinkhorn(
     still the best available iterate and carries its ``marginal_error``.
     """
     w, wp, C = _check_inputs(w, wp, C)
-    if eps <= 0:
+    if not 0 < eps < np.inf:
         raise DomainError(f"sinkhorn needs eps > 0, got {eps}")
     if max_iter < 1:
         raise DomainError(f"sinkhorn needs max_iter >= 1, got {max_iter}")
@@ -312,7 +312,7 @@ def entropic_ot(
     counts Newton steps over all stages, at most ``max_iter`` (>= 1).
     """
     w, wp, C = _check_inputs(w, wp, C)
-    if eps <= 0:
+    if not 0 < eps < np.inf:
         raise DomainError(f"entropic_ot needs eps > 0, got {eps}")
     if max_iter < 1:
         raise DomainError(f"entropic_ot needs max_iter >= 1, got {max_iter}")
@@ -348,7 +348,7 @@ def entropic_ot(
     err = marginal_residual(plan, w, wp)
     return OtResult(
         Coupling(plan, w, wp),
-        float(np.sum(C * plan)),
+        float((C * plan).sum()),
         iterations=steps,
         converged=err <= tol,
         marginal_error=err,

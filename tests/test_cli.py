@@ -425,3 +425,21 @@ def test_coot_weights_file_must_be_a_single_column(tmp_path, small_pair):
                 "--out", tmp_path / "wx"]) == 2
     assert run(["coot", "--x", y, "--y", x, "--vx", w22, "--seed", "2",
                 "--out", tmp_path / "vx"]) == 2
+
+
+@pytest.mark.parametrize("flags", [["--tol", "-1"], ["--tol", "nan"], ["--eps1", "nan"],
+                                   ["--eps2", "inf"]])
+def test_coot_non_finite_eps_or_bad_tol_is_a_domain_error(tmp_path, small_pair, flags):
+    x, y = small_pair
+    out = tmp_path / "bad"
+    assert run(["coot", "--x", x, "--y", y, *flags, "--out", out]) == 3
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("flags", [["--tol", "nan"], ["--tol=-1e-9"], ["--eps", "nan"]])
+def test_gw_non_finite_eps_or_bad_tol_is_a_domain_error(tmp_path, flags):
+    x = tmp_path / "p.csv"
+    write_matrix_csv(x, np.random.default_rng(94).random((4, 2)))
+    out = tmp_path / "gw"
+    assert run(["gw", "--x", x, "--y", x, "--points", *flags, "--out", out]) == 3
+    assert not (out / "report.json").exists()

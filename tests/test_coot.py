@@ -22,7 +22,9 @@ from coopt import (
     uniform_histogram,
     validate_coupling,
 )
+from coopt import coot
 from coopt.apps import class_mismatch_mask
+from coopt.core import marginal_residual
 
 
 def test_solve_self_instance_reaches_zero():
@@ -259,3 +261,92 @@ def test_sample_cost_mask_stays_out_of_the_reported_cost():
     assert np.sum(mask * ps) >= 0.25 - 1e-9
     assert sol.cost == coot_objective(Xs, Xt, ps, pv, SQUARED_EUCLIDEAN)
     assert sol.objective_trace[-1] == sol.cost
+
+
+def _reference_projection(plan, w, wp):
+    """Alternate row/column scaling of one plan, stopping at L1 residual
+    1e-13 or 500 sweeps: what the stacked projection must give per plan."""
+    plan = np.array(plan, dtype=np.float64)
+    for _ in range(500):
+        plan *= (w / plan.sum(axis=1))[:, None]
+        plan *= (wp / plan.sum(axis=0))[None, :]
+        if marginal_residual(plan, w, wp) <= 1e-13:
+            break
+    return plan
+
+
+def _reference_random(w, wp, rng):
+    noise = rng.lognormal(0.0, 2.0, (w.size, wp.size))
+    return _reference_projection(np.outer(w, wp) * noise, w, wp)
+
+
+def _weights(rng, n):
+    w = rng.uniform(0.05, 1.0, n)
+    return w / w.sum()
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+_START_SHAPES = [((1, 1), (1, 1)), ((1, 4), (5, 3)), ((5, 1), (1, 2)), ((600, 2), (3, 4)),
+                 ((7, 5), (6, 4))]
+
+
+@pytest.mark.parametrize("shape, shape2", _START_SHAPES)
+@pytest.mark.parametrize("weighted", [False, True])
+def test_batched_starts_equal_one_random_coupling_per_plan(shape, shape2, weighted):
+    rng = np.random.default_rng(sum(shape + shape2))
+    X, X2 = rng.random(shape), rng.random(shape2)
+    weights = {}
+    if weighted:
+        weights = dict(w=_weights(rng, shape[0]), wp=_weights(rng, shape2[0]),
+                       v=_weights(rng, shape[1]), vp=_weights(rng, shape2[1]))
+    problem = CootProblem(X, X2, **weights)
+    restarts, seed = 6, 11
+    starts = coot._starts(problem, restarts, seed, tied=False)
+    assert len(starts) == restarts and starts[0] is None
+    for r, (ps, pv) in enumerate(starts[1:], start=1):
+        ref = np.random.default_rng([seed, r])
+        ref_s = _reference_random(problem.w, problem.wp, ref)
+        ref_v = _reference_random(problem.v, problem.vp, ref)
+        assert _bits(ps) == _bits(ref_s) and _bits(pv) == _bits(ref_v)
+        one = np.random.default_rng([seed, r])
+        assert _bits(random_coupling(problem.w, problem.wp, one)) == _bits(ref_s)
+        assert _bits(random_coupling(problem.v, problem.vp, one)) == _bits(ref_v)
+
+
+@pytest.mark.parametrize("n, n2", [(6, 6), (1, 1), (5, 3)])
+def test_batched_tied_starts_include_the_identity_biased_plan(n, n2):
+    rng = np.random.default_rng(n * 10 + n2)
+    problem = CootProblem(rng.random((n, n)), rng.random((n2, n2)))
+    restarts, seed = 5, 3
+    starts = coot._starts(problem, restarts, seed, tied=True)
+    assert len(starts) == restarts and starts[0] is None
+    w, wp = problem.w, problem.wp
+    expected = []
+    if n == n2:
+        expected.append(_reference_projection(np.eye(n) * n + 1.0, w, wp))
+    r = 1
+    while len(expected) < restarts - 1:
+        expected.append(_reference_random(w, wp, np.random.default_rng([seed, r])))
+        r += 1
+    for (ps, pv), ref in zip(starts[1:], expected):
+        assert pv is ps and _bits(ps) == _bits(ref)
+
+
+@pytest.mark.parametrize("knobs", [{"tol": -1.0}, {"tol": np.nan}, {"tol": -np.inf},
+                                   {"eps_samples": np.nan}, {"eps_features": np.nan},
+                                   {"eps_samples": np.inf}, {"eps_features": -np.inf}])
+def test_problem_rejects_bad_tol_and_non_finite_eps(knobs):
+    X = np.random.default_rng(48).random((3, 2))
+    with pytest.raises(DomainError):
+        CootProblem(X, X, **knobs)
+
+
+@pytest.mark.parametrize("knobs", [{"tol": 0.0}, {"tol": np.inf}, {"eps_samples": 0.0},
+                                   {"eps_features": 1e300}])
+def test_problem_accepts_zero_or_infinite_tol_and_finite_eps(knobs):
+    X = np.random.default_rng(49).random((3, 2))
+    sol = solve_coot(CootProblem(X, X, max_iter=3, **knobs))
+    assert sol.iterations >= 1

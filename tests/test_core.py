@@ -151,3 +151,106 @@ def test_coupling_object_checks_shape_and_sign():
         Coupling(-np.eye(2) / 2, w, w)
     with pytest.raises(DimensionError):
         Coupling(np.eye(3) / 3, w, w)
+
+
+_BAD_MATRICES = [
+    ([[1.0, np.nan]], DomainError, "X: entries must be finite (no NaN/Inf)"),
+    ([[np.inf, 0.0]], DomainError, "X: entries must be finite (no NaN/Inf)"),
+    ([[0.0], [-np.inf]], DomainError, "X: entries must be finite (no NaN/Inf)"),
+    ([[np.inf, -np.inf]], DomainError, "X: entries must be finite (no NaN/Inf)"),
+    ([1.0, 2.0], DimensionError, "X: expected a non-empty 2-D array, got shape (2,)"),
+    (np.ones((2, 2, 1)), DimensionError,
+     "X: expected a non-empty 2-D array, got shape (2, 2, 1)"),
+    (3.0, DimensionError, "X: expected a non-empty 2-D array, got shape ()"),
+    (np.zeros((0, 3)), DimensionError, "X: expected a non-empty 2-D array, got shape (0, 3)"),
+    (np.zeros((3, 0)), DimensionError, "X: expected a non-empty 2-D array, got shape (3, 0)"),
+    (np.full((0, 1), np.nan), DimensionError,
+     "X: expected a non-empty 2-D array, got shape (0, 1)"),
+]
+
+
+@pytest.mark.parametrize("value, error, message", _BAD_MATRICES)
+def test_matrix_errors_keep_their_class_and_message(value, error, message):
+    with pytest.raises(error) as excinfo:
+        as_matrix(value, "X")
+    assert type(excinfo.value) is error and str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("value", [[[0.0, -1.0]], [[1e308, 1e308]], [[-1e308, -1e308]], [[7]]])
+def test_matrix_accepts_zero_negative_and_huge_finite_entries(value):
+    m = as_matrix(value, "X")
+    assert m.dtype == np.float64 and np.array_equal(m, np.asarray(value, dtype=np.float64))
+
+
+_BAD_HISTOGRAMS = [
+    ([0.5, np.nan, 0.5], DomainError, "w: entries must be finite"),
+    ([0.5, np.inf], DomainError, "w: entries must be finite"),
+    ([-np.inf, 0.5], DomainError, "w: entries must be finite"),
+    ([np.inf, -np.inf], DomainError, "w: entries must be finite"),
+    ([np.nan, -0.5], DomainError, "w: entries must be finite"),
+    ([0.5, 0.5, 0.0], DomainError, "w: entries must be strictly positive"),
+    ([0.7, -0.1, 0.4], DomainError, "w: entries must be strictly positive"),
+    ([-1.0, 0.0], DomainError, "w: entries must be strictly positive"),
+    ([0.5, 0.6], DomainError, f"w: entries must sum to 1 (got {np.float64(1.1)!r})"),
+    ([1e308, 1e308], DomainError, f"w: entries must sum to 1 (got {np.float64(np.inf)!r})"),
+    ([0.5, 0.5 - 1e-11], DomainError,
+     f"w: entries must sum to 1 (got {np.float64(0.5) + np.float64(0.5 - 1e-11)!r})"),
+    ([[0.5, 0.5]], DimensionError, "w: expected a non-empty 1-D array, got shape (1, 2)"),
+    (1.0, DimensionError, "w: expected a non-empty 1-D array, got shape ()"),
+    ([], DimensionError, "w: expected a non-empty 1-D array, got shape (0,)"),
+]
+
+
+@pytest.mark.parametrize("value, error, message", _BAD_HISTOGRAMS)
+def test_histogram_errors_keep_their_class_and_message(value, error, message):
+    with pytest.raises(error) as excinfo, np.errstate(over="ignore"):
+        as_histogram(value, "w")
+    assert type(excinfo.value) is error and str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("value", [[1.0], [0.25, 0.75], [0.5, 0.5 + 5e-13], [1 / 3] * 3])
+def test_histogram_accepts_positive_weights_summing_to_one(value):
+    h = as_histogram(value, "w")
+    assert h.dtype == np.float64 and np.array_equal(h, np.asarray(value, dtype=np.float64))
+
+
+_U2 = [0.5, 0.5]
+_BAD_COUPLINGS = [
+    (np.array([[0.5, np.nan], [0.0, 0.5]]), _U2, _U2, DomainError,
+     "coupling plan: entries must be finite (no NaN/Inf)"),
+    (np.array([[np.inf, -0.5], [0.0, 0.5]]), _U2, _U2, DomainError,
+     "coupling plan: entries must be finite (no NaN/Inf)"),
+    (np.zeros((0, 2)), _U2, _U2, DimensionError,
+     "coupling plan: expected a non-empty 2-D array, got shape (0, 2)"),
+    (np.full(2, 0.5), _U2, _U2, DimensionError,
+     "coupling plan: expected a non-empty 2-D array, got shape (2,)"),
+    (np.eye(2) / 2, [0.5, np.nan], _U2, DomainError, "row marginal: entries must be finite"),
+    (np.eye(2) / 2, _U2, [0.0, 1.0], DomainError,
+     "col marginal: entries must be strictly positive"),
+    (np.eye(2) / 2, [0.5, 0.6], _U2, DomainError,
+     f"row marginal: entries must sum to 1 (got {np.float64(1.1)!r})"),
+    (np.eye(2) / 2, [[0.5, 0.5]], _U2, DimensionError,
+     "row marginal: expected a non-empty 1-D array, got shape (1, 2)"),
+    (np.eye(2) / 2, _U2, [], DimensionError,
+     "col marginal: expected a non-empty 1-D array, got shape (0,)"),
+    (np.eye(3) / 3, _U2, _U2, DimensionError,
+     "coupling plan (3, 3) does not match marginals (2, 2)"),
+    (-np.eye(2) / 2, _U2, _U2, DomainError, "coupling plan must be nonnegative"),
+    (np.array([[0.5, -0.0], [-1e-300, 0.5]]), _U2, _U2, DomainError,
+     "coupling plan must be nonnegative"),
+    # the first failing check wins: marginals before shape, shape before sign
+    (-np.eye(3), [0.5, -0.5], _U2, DomainError, "row marginal: entries must be strictly positive"),
+    (-np.eye(3), _U2, _U2, DimensionError, "coupling plan (3, 3) does not match marginals (2, 2)"),
+]
+
+
+@pytest.mark.parametrize("plan, w, wp, error, message", _BAD_COUPLINGS)
+def test_coupling_errors_keep_their_class_and_message(plan, w, wp, error, message):
+    with pytest.raises(error) as excinfo:
+        Coupling(plan, w, wp)
+    assert type(excinfo.value) is error and str(excinfo.value) == message
+
+
+def test_coupling_accepts_negative_zero_entries():
+    plan = np.array([[0.5, -0.0], [0.0, 0.5]])
+    assert Coupling(plan, [0.5, 0.5], [0.5, 0.5]).plan is not None

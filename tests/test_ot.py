@@ -355,3 +355,13 @@ def test_entropic_ot_rejects_warm_potentials_of_the_wrong_length():
     with pytest.raises(DimensionError):
         entropic_ot(w, wp, np.ones((4, 3)), eps=0.1, init_potentials=(np.zeros(3), np.zeros(4)))
 
+
+
+@pytest.mark.parametrize("solver", [sinkhorn, entropic_ot])
+@pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+def test_entropic_solvers_reject_non_finite_or_non_positive_eps(solver, eps):
+    w = uniform_histogram(3)
+    C = np.random.default_rng(95).random((3, 3))
+    name = solver.__name__
+    with pytest.raises(DomainError, match=f"^{name} needs eps > 0, got {eps}$"):
+        solver(w, w, C, eps=eps)

@@ -4,7 +4,16 @@ so the suite stays fast; derandomized, so every run draws the same inputs."""
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from coopt import entropic_ot, sinkhorn, validate_coupling
+from coopt import (
+    LOSSES,
+    PreparedContraction,
+    Side,
+    contract,
+    contract_naive,
+    entropic_ot,
+    sinkhorn,
+    validate_coupling,
+)
 
 
 def _random_weights(rng, n):
@@ -31,3 +40,28 @@ def test_entropic_ot_property_feasible_and_matches_sinkhorn(n, m, seed, scale_ex
     if ref.converged:
         np.testing.assert_allclose(res.coupling.plan, ref.coupling.plan, atol=1e-10, rtol=0)
         assert abs(res.cost - ref.cost) <= 1e-10 * max(abs(ref.cost), scale)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(shape=st.tuples(*[st.integers(1, 12)] * 4), seed=st.integers(0, 2**32 - 1),
+       loss_name=st.sampled_from(sorted(LOSSES)), floor_exp=st.floats(-8, 0))
+def test_prepared_contraction_property_equals_contract_and_naive(shape, seed, loss_name,
+                                                                 floor_exp):
+    """Bitwise :func:`contract` and within 1e-10 of the quadruple sum, on both
+    sides, each side contracted twice so the second call reuses the prepared
+    factors. ``X'`` entries reach down to ``10**floor_exp``, near the edge of
+    the KL domain."""
+    n, d, n2, d2 = shape
+    rng = np.random.default_rng(seed)
+    loss = LOSSES[loss_name]
+    X = rng.random((n, d))
+    X2 = rng.random((n2, d2)) + 10.0**floor_exp
+    prepared = PreparedContraction(X, X2, loss)
+    sides = [(Side.FEATURE, (n, n2), (d, d2)), (Side.SAMPLE, (d, d2), (n, n2))]
+    for side, plan_shape, cost_shape in sides * 2:
+        pi = rng.random(plan_shape)
+        got = prepared.contract(pi, side)
+        assert got.shape == cost_shape
+        assert got.tobytes() == contract(X, X2, pi, loss, side).tobytes()
+        naive = contract_naive(X, X2, pi, loss, side).matrix
+        np.testing.assert_allclose(got, naive, atol=1e-10, rtol=0)
