@@ -13,6 +13,7 @@ Exit codes: 0 ok, 1 usage, 2 I/O, 3 numeric/domain, 4 did not converge
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -302,10 +303,14 @@ _COMMANDS = {
 }
 
 
+# build_parser's parser, made on the first call of main and reused: parsing
+# leaves it unchanged, and building it costs milliseconds per in-process call
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     if getattr(args, "seed", None) is None:

@@ -10,11 +10,15 @@ Three entry points solve ``min <C, pi>`` over the transport polytope
   semi-dual over the shorter side, with eps-continuation; it converges
   where Sinkhorn crawls (tall-thin costs with large ``C/eps``).
 
-All are pure functions and safe to call concurrently on distinct inputs.
+All are safe to call concurrently on distinct inputs. They are pure but
+for one cache: :func:`exact_ot` keeps, per thread, the HiGHS models of the
+last two marginal pairs it solved on, so a sequence of LPs on fixed
+marginals builds each model once. The cache changes no result.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -75,42 +79,75 @@ def _is_uniform_square(w: np.ndarray, wp: np.ndarray) -> bool:
     return w.size == wp.size and (w == w[0]).all() and (wp == w[0]).all()
 
 
-def _transport_lp(w: np.ndarray, wp: np.ndarray, C: np.ndarray) -> Tuple[np.ndarray, int]:
-    """Vertex plan of the transport LP by HiGHS dual simplex, and its iteration count.
+# Per-thread HiGHS models of the transport LP, keyed by the marginals'
+# bytes, most recently used last; see _lp_model.
+_models = threading.local()
+_MODELS_PER_THREAD = 2
+
+
+def _lp_model(w: np.ndarray, wp: np.ndarray):
+    """This thread's HiGHS model of the transport LP on ``(w, wp)``, with all
+    column indices, built with zero costs on first use.
 
     The marginal equalities, less the redundant last column sum, are the
     incidence matrix of a bipartite graph: column ``i*m + j`` has a 1 in rows
     ``i`` and ``n + j``, except the dropped row ``n + m - 1``. It goes to HiGHS
     column-wise through the array form of ``passModel``, as ``linprog(...,
-    method="highs-ds")`` builds it, so plans and iteration counts are the
-    same.
+    method="highs-ds")`` builds it. A thread keeps its
+    ``_MODELS_PER_THREAD`` most recently used models, one per side of the
+    COOT alternation, and drops them when it exits.
     """
-    n, m = C.shape
-    i, j = np.divmod(np.arange(n * m, dtype=np.int32), np.int32(m))
-    index = np.column_stack([i, n + j]).ravel()
-    index = index[index < n + m - 1]
-    start = np.zeros(n * m + 1, dtype=np.int32)
-    np.cumsum(np.where(j < m - 1, 2, 1), out=start[1:])
-    b = np.concatenate([w, wp[:-1]])
-    h = highs._Highs()
-    h.setOptionValue("output_flag", False)
-    h.setOptionValue("presolve", "off")
-    h.setOptionValue("solver", "simplex")
-    h.setOptionValue("simplex_strategy",
-                     highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
-    # integrality must be given per column; an empty array is rejected
-    passed = h.passModel(n * m, n + m - 1, index.size, highs.MatrixFormat.kColwise,
-                         highs.ObjSense.kMinimize, 0.0, C.ravel(), np.zeros(n * m),
-                         np.full(n * m, np.inf), b, b, start, index, np.ones(index.size),
-                         np.zeros(n * m, dtype=np.int32))
-    if passed == highs.HighsStatus.kError:
-        raise DomainError("exact transport LP failed: HiGHS rejected the model")
+    cache = getattr(_models, "cache", None)
+    if cache is None:
+        cache = _models.cache = {}
+    key = (w.tobytes(), wp.tobytes())
+    model = cache.pop(key, None)
+    if model is None:
+        n, m = w.size, wp.size
+        cols = np.arange(n * m, dtype=np.int32)
+        i, j = np.divmod(cols, np.int32(m))
+        index = np.column_stack([i, n + j]).ravel()
+        index = index[index < n + m - 1]
+        start = np.zeros(n * m + 1, dtype=np.int32)
+        np.cumsum(np.where(j < m - 1, 2, 1), out=start[1:])
+        b = np.concatenate([w, wp[:-1]])
+        h = highs._Highs()
+        h.setOptionValue("output_flag", False)
+        h.setOptionValue("presolve", "off")
+        h.setOptionValue("solver", "simplex")
+        h.setOptionValue("simplex_strategy",
+                         highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+        # integrality must be given per column; an empty array is rejected
+        passed = h.passModel(n * m, n + m - 1, index.size, highs.MatrixFormat.kColwise,
+                             highs.ObjSense.kMinimize, 0.0, np.zeros(n * m), np.zeros(n * m),
+                             np.full(n * m, np.inf), b, b, start, index, np.ones(index.size),
+                             np.zeros(n * m, dtype=np.int32))
+        if passed == highs.HighsStatus.kError:
+            raise DomainError("exact transport LP failed: HiGHS rejected the model")
+        model = (h, cols)
+        if len(cache) >= _MODELS_PER_THREAD:
+            del cache[next(iter(cache))]
+    cache[key] = model
+    return model
+
+
+def _transport_lp(w: np.ndarray, wp: np.ndarray, C: np.ndarray) -> Tuple[np.ndarray, int]:
+    """Vertex plan of the transport LP by HiGHS dual simplex, and its iteration count.
+
+    Runs on this thread's model for ``(w, wp)`` (:func:`_lp_model`) with the
+    solver state cleared and the costs replaced, so every solve starts cold:
+    plans and iteration counts are bitwise those of a fresh model, and so of
+    ``linprog(..., method="highs-ds")``.
+    """
+    h, cols = _lp_model(w, wp)
+    h.clearSolver()
+    h.changeColsCost(cols.size, cols, C.ravel())
     h.run()
     status = h.getModelStatus()
     if status != highs.HighsModelStatus.kOptimal:
         raise DomainError(f"exact transport LP failed: {h.modelStatusToString(status)}")
     x = np.asarray(h.getSolution().col_value)
-    return x.reshape(n, m), h.getInfo().simplex_iteration_count
+    return x.reshape(C.shape), h.getInfo().simplex_iteration_count
 
 
 def exact_ot(w, wp, C) -> OtResult:
@@ -124,6 +161,13 @@ def exact_ot(w, wp, C) -> OtResult:
     1.17): ``linprog``'s validation and result assembly would cost about as
     much as the solve. The solve runs outside the interpreter lock, so
     restarts on threads overlap in it.
+
+    Each thread keeps the models of the last two ``(w, wp)`` pairs it solved
+    on, built once with zero costs; a call clears the solver state, sets the
+    costs and solves cold, so results are bitwise those of a fresh model. The
+    memory kept is at most two models per live thread, each with its ``n m``
+    columns, ``2 n m`` nonzeros and the solver's work arrays: a few MB at
+    200x150. Pool threads drop theirs when they exit.
     """
     w, wp, C = _check_inputs(w, wp, C)
     n, m = C.shape

@@ -1,5 +1,7 @@
 """Unit tests for the alternating solver and the enumeration oracle."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,8 @@ from coopt import (
     random_coupling,
     sinkhorn,
     solve_coot,
+    solve_gw_dc,
+    sqeuclid_matrix,
     uniform_histogram,
     validate_coupling,
 )
@@ -350,3 +354,75 @@ def test_problem_accepts_zero_or_infinite_tol_and_finite_eps(knobs):
     X = np.random.default_rng(49).random((3, 2))
     sol = solve_coot(CootProblem(X, X, max_iter=3, **knobs))
     assert sol.iterations >= 1
+
+
+def _reuse_case(name):
+    """(solve, sides): an exact solve from one start and its number of solved
+    sides per iteration. A tied solve has no repeated cost to reuse: its
+    last iteration prices the sample step with the previous plan, and that
+    plan repeating is what stops the loop one iteration later."""
+    rng = np.random.default_rng(57)
+    if name == "coot":
+        X, X2 = rng.random((12, 5)), rng.random((9, 4))
+        return lambda: solve_coot(CootProblem(X, X2)), 2
+    if name == "gw":
+        C, C2 = sqeuclid_matrix(rng.random((10, 2))), sqeuclid_matrix(rng.random((8, 2)))
+        return lambda: solve_gw_dc(C, C2), 1
+    Xs, Xt = rng.random((16, 4)), rng.random((12, 3))
+    ys = np.arange(16) % 2
+    yt = np.where(np.arange(12) < 4, np.arange(12) % 2, -1)
+    return lambda: hda_pipeline(Xs, Xt, ys, target_labels=yt, restarts=1).solution, 2
+
+
+@pytest.mark.parametrize("name", ["coot", "gw", "hda"])
+def test_exact_side_reuse_keeps_the_plan_of_a_fresh_solve(name, monkeypatch):
+    """An exact side whose cost repeats up to rounding reuses its previous
+    result. The returned sample plan is still bitwise what a fresh
+    ``exact_ot`` gives on the last sample cost, and fewer LPs run than sides
+    times iterations, except in the tied case, which runs one per
+    iteration."""
+    solve, sides = _reuse_case(name)
+    costs, solved = [], []
+    inner, exact = coot._inner_ot, coot.exact_ot
+
+    def recording_inner(w, wp, cost, *args):
+        costs.append((w, wp, cost))
+        return inner(w, wp, cost, *args)
+
+    def counting_exact(*args):
+        solved.append(args)
+        return exact(*args)
+
+    monkeypatch.setattr(coot, "_inner_ot", recording_inner)
+    monkeypatch.setattr(coot, "exact_ot", counting_exact)
+    sol = solve()
+    ps = sol.coupling.plan if name == "gw" else sol.sample_coupling.plan
+    assert sol.converged and sol.iterations >= 2
+    full = sides * sol.iterations
+    assert len(solved) == full if name == "gw" else len(solved) < full
+    w, wp, cost = [c for c in costs if c[2].shape == ps.shape][-1]
+    with ThreadPoolExecutor(1) as pool:
+        fresh = pool.submit(exact, w, wp, cost).result(timeout=60)
+    assert _bits(fresh.coupling.plan) == _bits(ps)
+
+
+@pytest.mark.parametrize("moved, reused", [(2.0**-45, True), (1e-9, False)])
+def test_exact_side_reuse_bound(moved, reused, monkeypatch):
+    """A cost moved by 2**-45 max|C| keeps the previous result; one moved by
+    1e-9 max|C| is solved again. The entropic side never reuses."""
+    rng = np.random.default_rng(58)
+    w, wp = _weights(rng, 6), _weights(rng, 4)
+    C = 3.0 * rng.random((6, 4))
+    problem = CootProblem(rng.random((6, 2)), rng.random((4, 2)), w=w, wp=wp)
+    prev = C, coot.exact_ot(w, wp, C)
+    solved = []
+    monkeypatch.setattr(coot, "exact_ot", lambda *args: solved.append(args) or "solved")
+    C2 = C.copy()
+    C2[np.unravel_index(np.argmax(C), C.shape)] += moved * C.max()
+    assert (C2 != C).any()
+    got = coot._inner_ot(w, wp, C2, 0.0, problem, prev)
+    assert (got is prev[1]) == reused
+    assert len(solved) == (0 if reused else 1)
+    warm = C, coot.entropic_ot(w, wp, C, 0.1)
+    entropic = coot._inner_ot(w, wp, C, 0.1, problem, warm)
+    assert entropic is not warm[1] and entropic.converged

@@ -17,6 +17,7 @@ from coopt import (
     uniform_histogram,
     validate_coupling,
 )
+from coopt import ot
 
 
 def permutation_minimum(C):
@@ -128,6 +129,43 @@ def test_exact_ot_sparse_constraints_match_dense_reference(shape, uniform):
         plan, nit = _dense_lp_plan(w, wp, C)
         assert np.array_equal(res.coupling.plan, plan), name
         assert res.iterations == nit, name
+
+
+def test_exact_ot_model_cache_is_invisible():
+    """Each thread keeps the HiGHS models of its last two marginal pairs. One
+    thread's sequence that interleaves eight pairs, revisiting each while it
+    is cached and then moving on so the cache evicts, gives every plan and
+    iteration count of the dense reference LP bit for bit."""
+    rng = np.random.default_rng(41)
+    pairs = []
+    for n, m in [(2, 3), (7, 4), (20, 15), (50, 40)]:
+        w, wp = rng.uniform(0.1, 1, n), rng.uniform(0.1, 1, m)
+        pairs += [(uniform_histogram(n), uniform_histogram(m)), (w / w.sum(), wp / wp.sum())]
+    costs = [
+        lambda shape: rng.random(shape),
+        lambda shape: np.full(shape, 2.5),
+        lambda shape: np.zeros(shape),
+        lambda shape: rng.integers(0, 4, shape).astype(float),
+        lambda shape: 1e8 * rng.random(shape),
+    ]
+    order = []
+    for a in range(len(pairs)):
+        b = (a + 3) % len(pairs)
+        order += [a, b, a, b, a]
+    calls = [(pairs[k], costs[t % len(costs)]((pairs[k][0].size, pairs[k][1].size)))
+             for t, k in enumerate(order)]
+
+    def run():
+        results = [exact_ot(w, wp, C) for (w, wp), C in calls]
+        return results, len(ot._models.cache)
+
+    with ThreadPoolExecutor(1) as pool:
+        results, cached = pool.submit(run).result(timeout=120)
+    assert cached == 2
+    for t, (((w, wp), C), res) in enumerate(zip(calls, results)):
+        plan, nit = _dense_lp_plan(w, wp, C)
+        assert np.array_equal(res.coupling.plan, plan), t
+        assert res.iterations == nit, t
 
 
 def test_exact_ot_on_threads_matches_serial_calls():

@@ -11,7 +11,10 @@ from coopt import (
     contract,
     contract_naive,
     entropic_ot,
+    exact_ot,
+    random_coupling,
     sinkhorn,
+    uniform_histogram,
     validate_coupling,
 )
 
@@ -65,3 +68,26 @@ def test_prepared_contraction_property_equals_contract_and_naive(shape, seed, lo
         assert got.tobytes() == contract(X, X2, pi, loss, side).tobytes()
         naive = contract_naive(X, X2, pi, loss, side).matrix
         np.testing.assert_allclose(got, naive, atol=1e-10, rtol=0)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 12), m=st.integers(1, 12), line=st.sampled_from([None, "row", "col"]),
+       uniform=st.booleans(), kind=st.sampled_from(["random", "constant", "1e8", "integer"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_exact_ot_property_feasible_and_below_other_plans(n, m, line, uniform, kind, seed):
+    """Feasible to 1e-9, and no dearer than the product coupling or a random
+    feasible plan, within 1e-12 relative, on generated shapes (one row or
+    column forced on a third of the draws), weights and degenerate costs."""
+    n, m = (1 if line == "row" else n), (1 if line == "col" else m)
+    rng = np.random.default_rng(seed)
+    w, wp = ((uniform_histogram(n), uniform_histogram(m)) if uniform
+             else (_random_weights(rng, n), _random_weights(rng, m)))
+    C = {"random": lambda: rng.random((n, m)),
+         "constant": lambda: np.full((n, m), rng.uniform(-2, 2)),
+         "1e8": lambda: 1e8 * rng.random((n, m)),
+         "integer": lambda: rng.integers(0, 3, (n, m)).astype(float)}[kind]()
+    res = exact_ot(w, wp, C)
+    assert validate_coupling(res.coupling.plan, w, wp, 1e-9)
+    for other in (np.outer(w, wp), random_coupling(w, wp, rng)):
+        bound = float((C * other).sum())
+        assert res.cost <= bound + 1e-12 * abs(bound)
