@@ -227,8 +227,8 @@ def _inner_ot(w, wp, cost, eps, problem: CootProblem, prev) -> OtResult:
     2**-40 max|cost|``: the cost moved only by rounding, as in the last
     iteration of a converged solve, where the couplings repeat and the LP
     would only confirm its previous plan. That plan is within ``2 max|cost -
-    prev cost|`` of optimal, far below the 1e-7 dual tolerance HiGHS works
-    to.
+    prev cost|`` of optimal, far below the ``1e-9 max|cost|`` to which
+    :func:`exact_ot` certifies a fresh plan.
     """
     if eps > 0:
         return entropic_ot(w, wp, cost, eps, max_iter=problem.sinkhorn_max_iter,
