@@ -18,6 +18,14 @@ then seeded heavy-tailed perturbations of the product coupling projected
 back onto the polytope. The best restart (lowest cost, then lowest restart
 index) is returned.
 
+With ``jobs=1`` the restarts advance in lockstep, as one ``(R, ...)`` stack:
+each half-step contracts all running restarts' couplings in one call, an
+entropic side solves them in one :func:`~coopt.ot.entropic_ot_stack` call,
+and an exact side solves their LPs one after another. A restart that has
+converged drops out. With ``jobs > 1``, threads pull one restart at a time.
+Each restart is bitwise what it gives solved alone, so results do not
+depend on ``jobs``.
+
 :func:`bap_oracle` enumerates all row/column permutation pairs, which is the
 exact optimum for uniform square instances since an optimal pair of vertices
 always exists; it is the reference the solver is certified against in tests.
@@ -42,7 +50,7 @@ from .core import (
     as_matrix,
     uniform_histogram,
 )
-from .ot import OtResult, entropic_ot, exact_ot
+from .ot import OtResult, entropic_ot, entropic_ot_stack, exact_ot
 from .ot import sinkhorn  # noqa: F401 -- wrapped by name in bench/spans.py
 from .tensorcost import PreparedContraction, Side
 from .tensorcost import contract, coot_objective  # noqa: F401 -- wrapped by name in bench/spans.py
@@ -112,7 +120,8 @@ class CootProblem:
         if not self.tol >= 0:
             raise DomainError(f"tol must be >= 0, got {self.tol}")
         if self.max_iter < 0 or self.sinkhorn_max_iter < 1:
-            raise DomainError("need max_iter >= 0 and sinkhorn_max_iter >= 1, got "
+            raise DomainError("need max_iter >= 0 and sinkhorn_max_iter >= 1 (the cap on "
+                              "Newton steps per entropic solve), got "
                               f"{self.max_iter} and {self.sinkhorn_max_iter}")
         penalty = self.mask_penalty
         if penalty is not None and not (np.isfinite(penalty) and penalty > 0):
@@ -170,25 +179,29 @@ def _scale_to_marginals(plans: np.ndarray, w: np.ndarray, wp: np.ndarray) -> np.
     """Scale each plan of the ``(R, n, m)`` stack onto the marginals, in place.
 
     Rows, then columns, per sweep, until the plan's L1 marginal residual is
-    <= 1e-13 or 500 sweeps. A plan that has stopped is multiplied by exactly
-    1.0 from then on, so every plan ends bitwise where it would stop alone,
-    and the stack is never copied.
+    <= 1e-13 or 500 sweeps. A plan that has stopped leaves the sweeps: the
+    plans still going are gathered into a copy, scaled there and scattered
+    back when the next one stops, so each plan ends bitwise where it would
+    stop alone.
     """
-    rows = plans.sum(axis=2)
-    active = np.ones(len(plans), dtype=bool)
+    going = np.arange(len(plans))
+    sub = plans
+    rows = sub.sum(axis=2)
     for _ in range(500):
-        if not active.any():
+        if going.size == 0:
             break
-        factor = w / rows
-        factor[~active] = 1.0
-        plans *= factor[:, :, None]
-        factor = wp / plans.sum(axis=1)
-        factor[~active] = 1.0
-        plans *= factor[:, None, :]
-        rows = plans.sum(axis=2)
+        sub *= (w / rows)[:, :, None]
+        sub *= (wp / sub.sum(axis=1))[:, None, :]
+        rows = sub.sum(axis=2)
         # core.marginal_residual of each plan
-        residual = np.abs(rows - w).sum(axis=1) + np.abs(plans.sum(axis=1) - wp).sum(axis=1)
-        active &= ~(residual <= 1e-13)
+        residual = np.abs(rows - w).sum(axis=1) + np.abs(sub.sum(axis=1) - wp).sum(axis=1)
+        keep = ~(residual <= 1e-13)
+        if not keep.all():
+            if sub is not plans:
+                plans[going] = sub
+            going, sub, rows = going[keep], sub[keep], rows[keep]
+    if sub is not plans:
+        plans[going] = sub
     return plans
 
 
@@ -219,8 +232,8 @@ _REUSE_RTOL = 2.0**-40
 
 
 def _inner_ot(w, wp, cost, eps, problem: CootProblem, prev) -> OtResult:
-    """One side's inner solve; ``prev`` is that side's previous ``(cost,
-    result)`` pair, or None.
+    """One side's inner solve for one restart; ``prev`` is that side's
+    previous ``(cost, result)`` pair, or None.
 
     An entropic side warm-starts from the previous potentials. An exact side
     returns the previous result itself when ``max|cost - prev cost| <=
@@ -239,74 +252,121 @@ def _inner_ot(w, wp, cost, eps, problem: CootProblem, prev) -> OtResult:
     return exact_ot(w, wp, cost)
 
 
-def _masked(cost: np.ndarray, problem: CootProblem) -> np.ndarray:
+def _inner_side(w, wp, costs, eps, problem: CootProblem, prevs) -> List[OtResult]:
+    """One side's inner solves for a stack of restarts: ``costs`` is their
+    ``(A, n, m)`` cost stack and ``prevs`` their previous ``(cost, result)``
+    pairs, or Nones, as for :func:`_inner_ot`. An entropic side solves the
+    whole stack in one :func:`~coopt.ot.entropic_ot_stack` call; an exact side
+    runs :func:`_inner_ot` per restart, each LP outside the interpreter lock.
+    """
+    if eps > 0:
+        # the restarts of a stack are at the same iteration: all or none are warm
+        warm = None if prevs[0] is None else [prev[1].potentials for prev in prevs]
+        return entropic_ot_stack(w, wp, costs, eps, max_iter=problem.sinkhorn_max_iter,
+                                 tol=problem.sinkhorn_tol, init_potentials=warm)
+    return [_inner_ot(w, wp, cost, eps, problem, prev) for cost, prev in zip(costs, prevs)]
+
+
+def _masked(costs: np.ndarray, problem: CootProblem) -> np.ndarray:
+    """The stack of sample costs plus each one's mask penalty."""
     if problem.sample_cost_mask is None:
-        return cost
+        return costs
     penalty = problem.mask_penalty
     if penalty is None:
-        top = float(cost.max())
-        penalty = 1e3 * top if top > 0 else 1.0
-    return cost + penalty * problem.sample_cost_mask
+        top = costs.max(axis=(1, 2))
+        penalty = np.where(top > 0, 1e3 * top, 1.0)[:, None, None]
+    return costs + penalty * problem.sample_cost_mask
+
+
+def _stack(arrays: list) -> np.ndarray:
+    """The arrays as one ``(R, ...)`` stack; a single array as a view of one."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def _solve_stack(problem: CootProblem, starts: Sequence, tied: bool = False,
+                 first_index: int = 0) -> List[CootSolution]:
+    """Alternating solves from each of ``starts`` (None: the product
+    couplings), advanced in lockstep; solution ``r`` has restart index
+    ``first_index + r``.
+
+    Every iteration contracts the couplings of all restarts still running
+    as one stack and runs each side's inner solves on that stack
+    (:func:`_inner_side`). A restart that has converged drops out and keeps
+    its state. Each numpy call computes every slice as it would alone, so
+    solution ``r`` is bitwise the solve of ``starts[r]`` on its own.
+
+    Each side remembers its last cost and result per restart, and
+    :func:`_inner_ot` reuses an exact result when the new cost is the old
+    one up to rounding, ``max|C - C_prev| <= 2**-40 max|C|``, so the
+    iteration that only confirms a fixed point runs no LP there; the cost
+    arrays are compared, not copied.
+    """
+    # tied: one coupling on both slots (GW), no feature half-step. ``cost[r]``
+    # is the sample-side contraction of ``pv[r]``: it prices the sample step
+    # and, summed against ``ps[r]``, is the objective.
+    contraction = PreparedContraction(problem.X, problem.X2, problem.loss)
+    w, wp, v, vp = problem.w, problem.wp, problem.v, problem.vp
+    ps = [np.outer(w, wp) if init is None else np.array(init[0], dtype=np.float64)
+          for init in starts]
+    pv = ps if tied else [np.outer(v, vp) if init is None else
+                          np.array(init[1], dtype=np.float64) for init in starts]
+    costs = contraction.contract(_stack(pv), Side.SAMPLE)
+    cost = list(costs)
+    traces = [[float(value)] for value in (costs * _stack(ps)).sum(axis=(1, 2))]
+    prev_v = [None] * len(starts)
+    prev_s = [None] * len(starts)
+    converged = [False] * len(starts)
+    active = list(range(len(starts)))
+    for _ in range(problem.max_iter):
+        if not active:
+            break
+        pv_prev = _stack([pv[r] for r in active])
+        if not tied:
+            feat_cost = contraction.contract(_stack([ps[r] for r in active]), Side.FEATURE)
+            results = _inner_side(v, vp, feat_cost, problem.eps_features, problem,
+                                  [prev_v[r] for r in active])
+            for r, c, res in zip(active, feat_cost, results):
+                prev_v[r] = c, res
+                pv[r] = res.coupling.plan
+            costs = contraction.contract(_stack([pv[r] for r in active]), Side.SAMPLE)
+        else:
+            costs = _stack([cost[r] for r in active])
+        sample_cost = _masked(costs, problem)
+        results = _inner_side(w, wp, sample_cost, problem.eps_samples, problem,
+                              [prev_s[r] for r in active])
+        for r, c, res in zip(active, sample_cost, results):
+            prev_s[r] = c, res
+            ps[r] = res.coupling.plan
+        plans = _stack([ps[r] for r in active])
+        if tied:
+            costs = contraction.contract(plans, Side.SAMPLE)
+        values = (costs * plans).sum(axis=(1, 2))
+        moved = ((plans if tied else _stack([pv[r] for r in active])) - pv_prev)
+        moved = moved.reshape(len(active), -1)
+        # each restart's ||pv - pv_prev||, summed as np.linalg.norm sums it
+        moved = np.sqrt(np.vecdot(moved, moved))
+        for r, c, value, step in zip(active, costs, values, moved):
+            cost[r] = c
+            traces[r].append(float(value))
+            if step <= problem.tol:
+                # a stopped restart lets go of its views into this iteration's stacks
+                converged[r] = True
+                cost[r] = prev_s[r] = prev_v[r] = None
+        active = [r for r in active if not converged[r]]
+    return [CootSolution(sample_coupling=Coupling(ps[r], w, wp),
+                         feature_coupling=Coupling(pv[r], v, vp),
+                         cost=traces[r][-1], objective_trace=traces[r],
+                         iterations=len(traces[r]) - 1, converged=converged[r],
+                         restart_index=first_index + r)
+            for r in range(len(starts))]
 
 
 def _solve_single(problem: CootProblem,
                   init: Optional[Tuple[np.ndarray, np.ndarray]],
                   restart_index: int = 0, tied: bool = False) -> CootSolution:
-    """One alternating solve from ``init`` (None: the product couplings).
-
-    Each side remembers its last cost and result, and :func:`_inner_ot`
-    reuses an exact result when the new cost is the old one up to rounding,
-    ``max|C - C_prev| <= 2**-40 max|C|``, so the iteration that only
-    confirms a fixed point runs no LP there; the cost arrays are compared,
-    not copied.
-    """
-    # tied: one coupling on both slots (GW), no feature half-step. ``cost`` is
-    # the sample-side contraction of ``pv``: it prices the sample step and,
-    # summed against ``ps``, is the objective.
-    contraction = PreparedContraction(problem.X, problem.X2, problem.loss)
-    w, wp, v, vp = problem.w, problem.wp, problem.v, problem.vp
-    if init is None:
-        ps = np.outer(w, wp)
-        pv = np.outer(v, vp)
-    else:
-        ps = np.array(init[0], dtype=np.float64)
-        pv = np.array(init[1], dtype=np.float64)
-    if tied:
-        pv = ps
-    cost = contraction.contract(pv, Side.SAMPLE)
-    trace = [float((cost * ps).sum())]
-    prev_v = prev_s = None
-    iterations = 0
-    converged = False
-    for _ in range(problem.max_iter):
-        pv_prev = pv
-        if not tied:
-            feat_cost = contraction.contract(ps, Side.FEATURE)
-            res_v = _inner_ot(v, vp, feat_cost, problem.eps_features, problem, prev_v)
-            prev_v = feat_cost, res_v
-            pv = res_v.coupling.plan
-            cost = contraction.contract(pv, Side.SAMPLE)
-        sample_cost = _masked(cost, problem)
-        res_s = _inner_ot(w, wp, sample_cost, problem.eps_samples, problem, prev_s)
-        prev_s = sample_cost, res_s
-        ps = res_s.coupling.plan
-        if tied:
-            pv = ps
-            cost = contraction.contract(pv, Side.SAMPLE)
-        trace.append(float((cost * ps).sum()))
-        iterations += 1
-        if float(np.linalg.norm(pv - pv_prev)) <= problem.tol:
-            converged = True
-            break
-    return CootSolution(
-        sample_coupling=Coupling(ps, w, wp),
-        feature_coupling=Coupling(pv, v, vp),
-        cost=trace[-1],
-        objective_trace=trace,
-        iterations=iterations,
-        converged=converged,
-        restart_index=restart_index,
-    )
+    """One alternating solve from ``init`` (None: the product couplings): the
+    one-restart case of :func:`_solve_stack`."""
+    return _solve_stack(problem, [init], tied, restart_index)[0]
 
 
 def _best_restart(problem: CootProblem, restarts: int, seed: int,
@@ -314,7 +374,12 @@ def _best_restart(problem: CootProblem, restarts: int, seed: int,
     """Best of ``restarts`` solves: lowest cost, ties to the lowest restart
     index, independent of ``jobs``. Starts, in order: the product coupling;
     if ``tied`` with equal sides and ``restarts > 1``, an identity-biased
-    plan; then :func:`random_coupling` seeded ``(seed, r)``, r = 1, 2, ..."""
+    plan; then :func:`random_coupling` seeded ``(seed, r)``, r = 1, 2, ...
+
+    With ``jobs == 1`` all restarts run as one lockstep stack
+    (:func:`_solve_stack`); with more, ``jobs`` threads each pull one restart
+    at a time, so exact restarts overlap in the LP solver.
+    """
     if restarts < 1:
         raise DomainError("restarts must be >= 1")
     if jobs < 1:
@@ -328,7 +393,7 @@ def _best_restart(problem: CootProblem, restarts: int, seed: int,
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             solutions = list(pool.map(run, enumerate(starts)))
     else:
-        solutions = [run(indexed) for indexed in enumerate(starts)]
+        solutions = _solve_stack(problem, starts, tied)
     return min(solutions, key=lambda s: (s.cost, s.restart_index))
 
 
@@ -343,7 +408,8 @@ def solve_coot(
     Restart 0 starts from the product couplings; restart ``r >= 1`` starts
     from :func:`random_coupling` seeded with ``(seed, r)``. The returned
     solution is the lowest-cost restart, ties broken by lowest restart index,
-    independent of ``jobs``.
+    independent of ``jobs``: with ``jobs=1`` all restarts run as one lockstep
+    stack, and with more, ``jobs`` threads each pull one restart at a time.
     """
     return _best_restart(problem, restarts, seed, jobs)
 

@@ -33,6 +33,7 @@ import numpy as np
 
 from .core import (
     DimensionError,
+    DomainError,
     Loss,
     UnsupportedLossError,
     as_matrix,
@@ -86,6 +87,16 @@ def _check_shape(pi: np.ndarray, X: np.ndarray, X2: np.ndarray, side: Side) -> N
         )
 
 
+def _plan_stack(pi: np.ndarray) -> np.ndarray:
+    """An ``(R, p, q)`` stack of plans as float64, checked finite and non-empty."""
+    stack = np.asarray(pi, dtype=np.float64)
+    if 0 in stack.shape:
+        raise DimensionError(f"coupling stack: expected non-empty plans, got shape {stack.shape}")
+    if not np.isfinite(stack).all():
+        raise DomainError("coupling stack: entries must be finite (no NaN/Inf)")
+    return stack
+
+
 def _check_contract_inputs(X, X2, pi, loss: Loss, side: Side):
     X = as_matrix(X, "X")
     X2 = as_matrix(X2, "X'")
@@ -96,11 +107,13 @@ def _check_contract_inputs(X, X2, pi, loss: Loss, side: Side):
 
 
 def _naive(X: np.ndarray, X2: np.ndarray, pi: np.ndarray, loss: Loss) -> np.ndarray:
-    out = np.empty((X.shape[0], X2.shape[0]))
+    # pi is an (R, p, q) stack; each slab serves every plan, one einsum per plan
+    out = np.empty((len(pi), X.shape[0], X2.shape[0]))
     for i in range(X.shape[0]):
         # slab[k, l, j] = L(X_ik, X'_jl), aggregated over (k, l) weighted by pi_kl
         slab = loss.pair(X[i, :][:, None, None], X2.T[None, :, :])
-        out[i, :] = np.einsum("kl,klj->j", pi, slab)
+        for r, plan in enumerate(pi):
+            out[r, i, :] = np.einsum("kl,klj->j", plan, slab)
     return out
 
 
@@ -111,8 +124,9 @@ def _factors(X: np.ndarray, X2: np.ndarray, loss: Loss):
 
 
 def _h_term(A: np.ndarray, pi: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """``A @ pi @ B`` with the cheaper association order."""
-    p, q = pi.shape
+    """``A @ pi @ B`` for each plan of the stack ``pi``, with the cheaper
+    association order."""
+    p, q = pi.shape[1:]
     r = A.shape[0]
     c = B.shape[1]
     left_first = r * p * q + r * q * c
@@ -123,13 +137,14 @@ def _h_term(A: np.ndarray, pi: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def _factored(factors, pi: np.ndarray) -> np.ndarray:
-    # factors of sample-side oriented data; the constant part uses the
-    # coupling's own marginals, so the identity holds for any nonnegative pi,
-    # feasible or not
+    # factors of sample-side oriented data, pi an (R, p, q) stack; the
+    # constant part uses each coupling's own marginals, so the identity holds
+    # for any nonnegative pi, feasible or not. Each matrix-vector product is
+    # broadcast over the stack, so every slice is the product of its plan alone
     f1, f2, h1, h2 = factors
-    row_mass = pi.sum(axis=1)
-    col_mass = pi.sum(axis=0)
-    const = (f1 @ row_mass)[:, None] + (f2 @ col_mass)[None, :]
+    row_mass = pi.sum(axis=2)
+    col_mass = pi.sum(axis=1)
+    const = (f1 @ row_mass[:, :, None]) + (f2 @ col_mass[:, :, None]).transpose(0, 2, 1)
     return const - _h_term(h1, pi, h2.T)
 
 
@@ -157,12 +172,20 @@ class PreparedContraction:
 
     def contract(self, pi, side: Side) -> np.ndarray:
         """Contracted cost matrix of the coupling ``pi`` (a plan or a
-        :class:`~coopt.core.Coupling`) on ``side``."""
-        pi = plan_array(pi)
-        _check_shape(pi, self.X, self.X2, side)
+        :class:`~coopt.core.Coupling`) on ``side``.
+
+        ``pi`` may also be an ``(R, p, q)`` array of plans; the result is the
+        ``(R, ...)`` stack of their costs, each bitwise the cost of its plan
+        contracted alone.
+        """
+        stacked = isinstance(pi, np.ndarray) and pi.ndim == 3
+        stack = _plan_stack(pi) if stacked else plan_array(pi)[None]
+        _check_shape(stack[0], self.X, self.X2, side)
         if self._factors is None:
-            return _naive(*_oriented(side, self.X, self.X2), pi, self.loss)
-        return _factored(_oriented(side, *self._factors), pi)
+            out = _naive(*_oriented(side, self.X, self.X2), stack, self.loss)
+        else:
+            out = _factored(_oriented(side, *self._factors), stack)
+        return out if stacked else out[0]
 
 
 def contract_naive(X, X2, pi, loss: Loss, side: Side) -> ContractedCost:
@@ -173,7 +196,7 @@ def contract_naive(X, X2, pi, loss: Loss, side: Side) -> ContractedCost:
     deterministic for a fixed input.
     """
     X, X2, pi = _check_contract_inputs(X, X2, pi, loss, side)
-    return ContractedCost(_naive(*_oriented(side, X, X2), pi, loss), side)
+    return ContractedCost(_naive(*_oriented(side, X, X2), pi[None], loss)[0], side)
 
 
 def contract_factored(X, X2, pi, loss: Loss, side: Side) -> ContractedCost:
@@ -188,7 +211,7 @@ def contract_factored(X, X2, pi, loss: Loss, side: Side) -> ContractedCost:
             f"{loss.name} loss has no (f1, f2, h1, h2) decomposition; use contract_naive"
         )
     X, X2, pi = _check_contract_inputs(X, X2, pi, loss, side)
-    return ContractedCost(_factored(_oriented(side, *_factors(X, X2, loss)), pi), side)
+    return ContractedCost(_factored(_oriented(side, *_factors(X, X2, loss)), pi[None])[0], side)
 
 
 def contract(X, X2, pi, loss: Loss, side: Side) -> np.ndarray:

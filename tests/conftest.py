@@ -7,14 +7,15 @@ import coopt.coot
 
 @pytest.fixture
 def entropic_calls(monkeypatch):
-    """Every result of an entropic inner solve made by the alternating solver."""
+    """Every result of an entropic inner solve made by the alternating solver:
+    its entropic sides solve a stack of restarts per call, one result each."""
     calls = []
-    solve = coopt.coot.entropic_ot
+    solve = coopt.coot.entropic_ot_stack
 
     def record(*args, **kwargs):
-        res = solve(*args, **kwargs)
-        calls.append(res)
-        return res
+        results = solve(*args, **kwargs)
+        calls.extend(results)
+        return results
 
-    monkeypatch.setattr(coopt.coot, "entropic_ot", record)
+    monkeypatch.setattr(coopt.coot, "entropic_ot_stack", record)
     return calls
