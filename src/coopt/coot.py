@@ -22,9 +22,10 @@ With ``jobs=1`` the restarts advance in lockstep, as one ``(R, ...)`` stack:
 each half-step contracts all running restarts' couplings in one call, an
 entropic side solves them in one :func:`~coopt.ot.entropic_ot_stack` call,
 and an exact side solves their LPs one after another. A restart that has
-converged drops out. With ``jobs > 1``, threads pull one restart at a time.
-Each restart is bitwise what it gives solved alone, so results do not
-depend on ``jobs``.
+converged drops out. With ``jobs > 1``, threads run contiguous shares of
+the restarts as stacks when every side solved is entropic, and otherwise
+pull one restart at a time. Each restart is bitwise what it gives solved
+alone, so results do not depend on ``jobs``.
 
 :func:`bap_oracle` enumerates all row/column permutation pairs, which is the
 exact optimum for uniform square instances since an optimal pair of vertices
@@ -50,7 +51,7 @@ from .core import (
     as_matrix,
     uniform_histogram,
 )
-from .ot import OtResult, entropic_ot, entropic_ot_stack, exact_ot
+from .ot import OtResult, entropic_ot, entropic_ot_stack, exact_ot  # noqa: F401
 from .ot import sinkhorn  # noqa: F401 -- wrapped by name in bench/spans.py
 from .tensorcost import PreparedContraction, Side
 from .tensorcost import contract, coot_objective  # noqa: F401 -- wrapped by name in bench/spans.py
@@ -235,7 +236,8 @@ def _inner_ot(w, wp, cost, eps, problem: CootProblem, prev) -> OtResult:
     """One side's inner solve for one restart; ``prev`` is that side's
     previous ``(cost, result)`` pair, or None.
 
-    An entropic side warm-starts from the previous potentials. An exact side
+    An entropic side is the one-restart call of :func:`_inner_side`, warm
+    from the previous potentials. An exact side
     returns the previous result itself when ``max|cost - prev cost| <=
     2**-40 max|cost|``: the cost moved only by rounding, as in the last
     iteration of a converged solve, where the couplings repeat and the LP
@@ -244,9 +246,7 @@ def _inner_ot(w, wp, cost, eps, problem: CootProblem, prev) -> OtResult:
     :func:`exact_ot` certifies a fresh plan.
     """
     if eps > 0:
-        return entropic_ot(w, wp, cost, eps, max_iter=problem.sinkhorn_max_iter,
-                           tol=problem.sinkhorn_tol,
-                           init_potentials=None if prev is None else prev[1].potentials)
+        return _inner_side(w, wp, cost[None], eps, problem, [prev])[0]
     if prev is not None and np.abs(cost - prev[0]).max() <= _REUSE_RTOL * np.abs(cost).max():
         return prev[1]
     return exact_ot(w, wp, cost)
@@ -291,19 +291,21 @@ def _solve_stack(problem: CootProblem, starts: Sequence, tied: bool = False,
 
     Every iteration contracts the couplings of all restarts still running
     as one stack and runs each side's inner solves on that stack
-    (:func:`_inner_side`). A restart that has converged drops out and keeps
-    its state. Each numpy call computes every slice as it would alone, so
-    solution ``r`` is bitwise the solve of ``starts[r]`` on its own.
+    (:func:`_inner_side`). A restart that has converged drops out with
+    copies of its plans. Each numpy call computes every slice as it would
+    alone, so solution ``r`` is bitwise the solve of ``starts[r]`` on its
+    own. Memory grows with the number of restarts, so the iteration's stacks
+    are dropped as soon as they are written back.
 
-    Each side remembers its last cost and result per restart, and
+    Each exact side remembers its last cost and result per restart, and
     :func:`_inner_ot` reuses an exact result when the new cost is the old
     one up to rounding, ``max|C - C_prev| <= 2**-40 max|C|``, so the
     iteration that only confirms a fixed point runs no LP there; the cost
     arrays are compared, not copied.
     """
     # tied: one coupling on both slots (GW), no feature half-step. ``cost[r]``
-    # is the sample-side contraction of ``pv[r]``: it prices the sample step
-    # and, summed against ``ps[r]``, is the objective.
+    # is the sample-side contraction of ``pv[r]``: it prices the sample step and,
+    # summed against ``ps[r]``, is the objective; only the tied case reads it back.
     contraction = PreparedContraction(problem.X, problem.X2, problem.loss)
     w, wp, v, vp = problem.w, problem.wp, problem.v, problem.vp
     ps = [np.outer(w, wp) if init is None else np.array(init[0], dtype=np.float64)
@@ -311,8 +313,11 @@ def _solve_stack(problem: CootProblem, starts: Sequence, tied: bool = False,
     pv = ps if tied else [np.outer(v, vp) if init is None else
                           np.array(init[1], dtype=np.float64) for init in starts]
     costs = contraction.contract(_stack(pv), Side.SAMPLE)
-    cost = list(costs)
-    traces = [[float(value)] for value in (costs * _stack(ps)).sum(axis=(1, 2))]
+    cost = list(costs) if tied else None
+    traces = [[float((c * p).sum())] for c, p in zip(costs, ps)]
+    # each side's previous (cost, result) per restart; an entropic side needs
+    # only the result's potentials, so it keeps no cost
+    keep_v, keep_s = problem.eps_features == 0, problem.eps_samples == 0
     prev_v = [None] * len(starts)
     prev_s = [None] * len(starts)
     converged = [False] * len(starts)
@@ -326,39 +331,63 @@ def _solve_stack(problem: CootProblem, starts: Sequence, tied: bool = False,
             results = _inner_side(v, vp, feat_cost, problem.eps_features, problem,
                                   [prev_v[r] for r in active])
             for r, c, res in zip(active, feat_cost, results):
-                prev_v[r] = c, res
+                prev_v[r] = c if keep_v else None, res
                 pv[r] = res.coupling.plan
             costs = contraction.contract(_stack([pv[r] for r in active]), Side.SAMPLE)
+            del feat_cost
         else:
             costs = _stack([cost[r] for r in active])
         sample_cost = _masked(costs, problem)
         results = _inner_side(w, wp, sample_cost, problem.eps_samples, problem,
                               [prev_s[r] for r in active])
         for r, c, res in zip(active, sample_cost, results):
-            prev_s[r] = c, res
+            prev_s[r] = c if keep_s else None, res
             ps[r] = res.coupling.plan
-        plans = _stack([ps[r] for r in active])
+        del sample_cost, results
         if tied:
+            plans = _stack([ps[r] for r in active])
             costs = contraction.contract(plans, Side.SAMPLE)
-        values = (costs * plans).sum(axis=(1, 2))
-        moved = ((plans if tied else _stack([pv[r] for r in active])) - pv_prev)
+            moved = plans - pv_prev
+            del plans
+        else:
+            moved = _stack([pv[r] for r in active]) - pv_prev
         moved = moved.reshape(len(active), -1)
         # each restart's ||pv - pv_prev||, summed as np.linalg.norm sums it
         moved = np.sqrt(np.vecdot(moved, moved))
-        for r, c, value, step in zip(active, costs, values, moved):
-            cost[r] = c
-            traces[r].append(float(value))
-            if step <= problem.tol:
-                # a stopped restart lets go of its views into this iteration's stacks
+        for i, r in enumerate(active):
+            traces[r].append(float((costs[i] * ps[r]).sum()))
+            if tied:
+                cost[r] = costs[i]
+            if moved[i] <= problem.tol:
                 converged[r] = True
-                cost[r] = prev_s[r] = prev_v[r] = None
+                _release(r, ps, pv, cost, prev_s, prev_v)
+        del costs
         active = [r for r in active if not converged[r]]
+    for r in active:
+        _release(r, ps, pv, cost, prev_s, prev_v)
     return [CootSolution(sample_coupling=Coupling(ps[r], w, wp),
                          feature_coupling=Coupling(pv[r], v, vp),
                          cost=traces[r][-1], objective_trace=traces[r],
                          iterations=len(traces[r]) - 1, converged=converged[r],
                          restart_index=first_index + r)
             for r in range(len(starts))]
+
+
+def _owned(plan: np.ndarray) -> np.ndarray:
+    """``plan``, or a copy of it when it is a slice of a larger stack."""
+    return plan if plan.base is None or plan.base.size == plan.size else plan.copy()
+
+
+def _release(r: int, ps: list, pv: list, cost, prev_s: list, prev_v: list) -> None:
+    """Restart ``r`` has stopped: plans that are slices of a stack become
+    copies, and it drops the rest of its state, so it keeps no iteration's
+    stack alive."""
+    ps[r] = _owned(ps[r])
+    if pv is not ps:
+        pv[r] = _owned(pv[r])
+    if cost is not None:
+        cost[r] = None
+    prev_s[r] = prev_v[r] = None
 
 
 def _solve_single(problem: CootProblem,
@@ -377,23 +406,31 @@ def _best_restart(problem: CootProblem, restarts: int, seed: int,
     plan; then :func:`random_coupling` seeded ``(seed, r)``, r = 1, 2, ...
 
     With ``jobs == 1`` all restarts run as one lockstep stack
-    (:func:`_solve_stack`); with more, ``jobs`` threads each pull one restart
-    at a time, so exact restarts overlap in the LP solver.
+    (:func:`_solve_stack`). With more, ``jobs`` threads share them: if every
+    side solved is entropic, each thread runs one contiguous share as a
+    stack; if a side is exact, each thread pulls one restart at a time, so
+    restarts overlap in the LP solver, which runs outside the interpreter
+    lock.
     """
     if restarts < 1:
         raise DomainError("restarts must be >= 1")
     if jobs < 1:
         raise DomainError("jobs must be >= 1")
     starts = _starts(problem, restarts, seed, tied)
-
-    def run(indexed):
-        return _solve_single(problem, indexed[1], indexed[0], tied)
-
-    if jobs > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            solutions = list(pool.map(run, enumerate(starts)))
-    else:
+    entropic = problem.eps_samples > 0 and (tied or problem.eps_features > 0)
+    if jobs == 1 or len(starts) == 1:
         solutions = _solve_stack(problem, starts, tied)
+    elif entropic:
+        parts = min(jobs, len(starts))
+        cuts = [len(starts) * k // parts for k in range(parts + 1)]
+        with ThreadPoolExecutor(max_workers=parts) as pool:
+            shares = pool.map(lambda lo, hi: _solve_stack(problem, starts[lo:hi], tied, lo),
+                              cuts[:-1], cuts[1:])
+            solutions = [sol for share in shares for sol in share]
+    else:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            solutions = list(pool.map(lambda r: _solve_single(problem, starts[r], r, tied),
+                                      range(len(starts))))
     return min(solutions, key=lambda s: (s.cost, s.restart_index))
 
 
@@ -409,7 +446,9 @@ def solve_coot(
     from :func:`random_coupling` seeded with ``(seed, r)``. The returned
     solution is the lowest-cost restart, ties broken by lowest restart index,
     independent of ``jobs``: with ``jobs=1`` all restarts run as one lockstep
-    stack, and with more, ``jobs`` threads each pull one restart at a time.
+    stack; with more, ``jobs`` threads each run a share of the restarts as a
+    stack when both sides are entropic, and otherwise pull one restart at a
+    time.
     """
     return _best_restart(problem, restarts, seed, jobs)
 

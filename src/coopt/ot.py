@@ -475,9 +475,9 @@ def _rows(idx: np.ndarray, n: int):
     return slice(None) if idx.size == n else idx
 
 
-def _newton_stage(neg, wl, ws, log_ws, eps, tol, g, limit, ridge, near=False):
+def _newton_stage(C, wl, ws, log_ws, eps, tol, g, limit, ridge, near=False):
     """Ascend the concave semi-dual ``F(g) = <wl, f(g)> + <ws, g>`` of each
-    cost ``-neg[r]`` at its own ``eps[r]``, all in lockstep, until the cost's
+    cost ``C[r]`` at its own ``eps[r]``, all in lockstep, until the cost's
     marginal residual is <= ``tol[r]``, ``limit[r]`` steps are taken or its
     line search stalls; with ``near``, a step that has to be capped also
     counts as a stall. ``g[:, -1]`` stays 0 (``F`` is flat along ones).
@@ -487,7 +487,8 @@ def _newton_stage(neg, wl, ws, log_ws, eps, tol, g, limit, ridge, near=False):
     numpy call works on the costs still going, so every result is bitwise
     that of its cost solved alone. Returns ``(g, f, plan, steps, stalled)``.
     """
-    kernel = neg / eps[:, None, None]
+    # C / -eps is -C / eps bitwise: division rounds the magnitude alone
+    kernel = C / -eps[:, None, None]
     n, k = g.shape
     f, plan = _semi_dual(kernel, wl, log_ws, g, eps)
     # vecdot, not a matrix-vector product: each row is the 1-D dot bitwise
@@ -569,11 +570,11 @@ def _entropic(w, wp, C, eps, max_iter, tol, init_potentials):
     """The body of :func:`entropic_ot_stack` on checked inputs."""
     flip = C.shape[1] < C.shape[2]
     # rows of each Cl are the long side, columns (potential g) the short side;
-    # -Cl is C-contiguous, so every slice of it has one memory layout
+    # Cl is C-contiguous, so every slice of it has one memory layout
     wl, ws = (wp, w) if flip else (w, wp)
-    neg = -np.ascontiguousarray(C.transpose(0, 2, 1) if flip else C)
-    R, nl, ns = neg.shape
-    spread = neg.max(axis=(1, 2)) - neg.min(axis=(1, 2))
+    Cl = np.ascontiguousarray(C.transpose(0, 2, 1) if flip else C)
+    R, nl, ns = Cl.shape
+    spread = Cl.max(axis=(1, 2)) - Cl.min(axis=(1, 2))
     # keeps the solve defined where the plan saturates (each row on a single
     # column) and the Hessian vanishes; the capped step then follows the gradient
     ridge = 1e-12 * np.eye(ns - 1)
@@ -587,14 +588,14 @@ def _entropic(w, wp, C, eps, max_iter, tol, init_potentials):
     solve = np.flatnonzero(~closed)
     if solve.size < R:
         at = np.flatnonzero(closed)
-        f[at] = _semi_dual(neg[at] / eps, wl, log_ws, g[at], np.full(at.size, eps))[0]
+        f[at] = _semi_dual(Cl[at] / -eps, wl, log_ws, g[at], np.full(at.size, eps))[0]
         plan[at] = np.outer(wl, ws)
 
     def stage(rows, eps_rows, tol_rows, g_rows, near=False):
         # one Newton stage of the costs ``rows``; the whole stack (a slice)
         # takes the stage's arrays as they are, a part is written back
         g_, f_, plan_, taken, stalled = _newton_stage(
-            neg[rows], wl, ws, log_ws, eps_rows, tol_rows, g_rows, max_iter - steps[rows],
+            Cl[rows], wl, ws, log_ws, eps_rows, tol_rows, g_rows, max_iter - steps[rows],
             ridge, near=near)
         nonlocal g, f, plan
         if isinstance(rows, slice):

@@ -3,7 +3,9 @@
 With ``jobs=1`` the alternating driver advances every restart as one stack.
 Each restart must come out bitwise as it does solved alone: plans, objective
 trace, iteration count, ``converged`` and the selected restart. The CLI must
-write the same bytes for any ``--jobs``.
+write the same bytes for any ``--jobs``. Solved alone is the same driver on a
+stack of one, so these tests check that results do not depend on the stack
+size; tolerance checks against stabilized Sinkhorn cover the entropic body.
 """
 
 import json
@@ -27,7 +29,7 @@ from coopt import coot, ot
 from coopt.apps import class_mismatch_mask
 from coopt.cli import main
 from coopt.fileio import write_labels_csv, write_matrix_csv
-from coopt.ot import entropic_ot_stack
+from coopt.ot import entropic_ot_stack, sinkhorn
 
 
 def _bits(a) -> bytes:
@@ -111,15 +113,21 @@ CASES = ["sq-exact-weighted", "abs-entropic-short-samples", "kl-mixed-short-feat
 
 @pytest.mark.parametrize("name", CASES)
 def test_lockstep_restarts_equal_each_restart_solved_alone(name):
-    """Every restart of the stack, bitwise as solved alone, and the same winner."""
+    """Every restart of the stack, bitwise as solved alone, and the same winner
+    at 1 to 3 jobs. ``_solve_single`` is the one-restart call of the same
+    driver, so this shows that a restart does not depend on the stack it
+    runs in. Every solution owns its plans, so none keeps a stack alive."""
     problem, restarts, tied = _case(name)
     starts = coot._starts(problem, restarts, 5, tied)
     stack = coot._solve_stack(problem, starts, tied)
     alone = [coot._solve_single(problem, init, r, tied) for r, init in enumerate(starts)]
     assert [_signature(s) for s in stack] == [_signature(s) for s in alone]
-    best = coot._best_restart(problem, restarts, 5, jobs=1, tied=tied)
+    plans = [p for s in stack for p in (s.sample_coupling.plan, s.feature_coupling.plan)]
+    assert all(p.base is None or p.base.size == p.size for p in plans)
     winner = min(alone, key=lambda s: (s.cost, s.restart_index))
-    assert _signature(best) == _signature(winner)
+    for jobs in (1, 2, 3):
+        best = coot._best_restart(problem, restarts, 5, jobs=jobs, tied=tied)
+        assert _signature(best) == _signature(winner)
 
 
 def test_lockstep_with_warm_tries_stalling_for_some_restarts(monkeypatch):
@@ -167,6 +175,28 @@ def test_entropic_stack_with_one_warm_try_stalling():
     assert _bits(results[2].coupling.plan) == _bits(cold.coupling.plan)
     assert results[2].iterations == cold.iterations
     assert all(results[r].iterations < cold.iterations for r in (0, 1, 3))
+
+
+@pytest.mark.parametrize("n, m", [(5, 9), (3, 30), (12, 13)])
+def test_flipped_entropic_stack_matches_sinkhorn(n, m):
+    """A cost with fewer rows than columns is solved on its transpose. Every
+    result of a stack, cold and warm, is the plan stabilized Sinkhorn
+    reaches, within 1e-10, and its potentials ``(f, g)`` give that plan."""
+    rng = np.random.default_rng([66, n, m])
+    w, wp = _weights(rng, n), _weights(rng, m)
+    C = rng.random((3, n, m))
+    eps = 0.05
+    cold = entropic_ot_stack(w, wp, C, eps, tol=1e-12)
+    warm = entropic_ot_stack(w, wp, 1.01 * C, eps, tol=1e-12,
+                             init_potentials=[res.potentials for res in cold])
+    for c, res in zip(np.concatenate([C, 1.01 * C]), cold + warm):
+        ref = sinkhorn(w, wp, c, eps=eps, max_iter=20000, tol=1e-12)
+        assert ref.converged and res.converged
+        np.testing.assert_allclose(res.coupling.plan, ref.coupling.plan, atol=1e-10, rtol=0)
+        assert abs(res.cost - ref.cost) <= 1e-10
+        f, g = res.potentials
+        plan = np.outer(w, wp) * np.exp((f[:, None] + g[None, :] - c) / eps)
+        np.testing.assert_allclose(plan, res.coupling.plan, atol=1e-12, rtol=0)
 
 
 @pytest.mark.parametrize("loss_name", sorted(LOSSES))
