@@ -9,7 +9,9 @@ decrease the objective, so the trace is monotone. Gromov-Wasserstein
 both slots, so only the sample half-step is solved. An exact half-step
 whose cost equals the previous one up to rounding (``max|C - C_prev| <=
 2**-40 max|C|``) keeps its previous plan instead of re-solving the LP; that
-plan is within ``2 max|C - C_prev|`` of optimal.
+plan is within ``2 max|C - C_prev|`` of optimal. Otherwise each side starts
+from the potentials of its previous result in the same restart; an exact
+side's Kantorovich potentials list its next shortlist LP's first cells.
 
 The problem is a non-convex bilinear program; alternation converges to a
 partial optimum that depends on the starting point. Starts, in order: the
@@ -243,13 +245,17 @@ def _inner_ot(w, wp, cost, eps, problem: CootProblem, prev) -> OtResult:
     iteration of a converged solve, where the couplings repeat and the LP
     would only confirm its previous plan. That plan is within ``2 max|cost -
     prev cost|`` of optimal, far below the ``1e-9 max|cost|`` to which
-    :func:`exact_ot` certifies a fresh plan.
+    :func:`exact_ot` certifies a fresh plan. Otherwise the LP is solved warm
+    from the previous result's Kantorovich potentials, which only a
+    shortlist LP (above 3,000 cells) reads: they pick its first cells, and
+    the plan is certified as a cold one is.
     """
     if eps > 0:
         return _inner_side(w, wp, cost[None], eps, problem, [prev])[0]
     if prev is not None and np.abs(cost - prev[0]).max() <= _REUSE_RTOL * np.abs(cost).max():
         return prev[1]
-    return exact_ot(w, wp, cost)
+    # positional, so that a stand-in taking ``*args`` sees the warm start too
+    return exact_ot(w, wp, cost, None if prev is None else prev[1].potentials)
 
 
 def _inner_side(w, wp, costs, eps, problem: CootProblem, prevs) -> List[OtResult]:

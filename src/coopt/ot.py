@@ -49,8 +49,10 @@ class OtResult:
 
     ``cost`` is the linear part ``<C, plan>`` only; for the entropic solvers
     the entropic term is excluded so values stay comparable across ``eps``.
-    ``potentials`` holds the final log-domain duals ``(f, g)`` of an entropic
-    run and can warm-start either entropic solver on a nearby cost matrix.
+    ``potentials`` holds the duals ``(f, g)``: the final log-domain duals of
+    an entropic run, which warm-start either entropic solver on a nearby
+    cost matrix, or the Kantorovich potentials of an LP result, which
+    warm-start :func:`exact_ot`; a Hungarian result has None.
     ``certificate`` is an LP result's minimum reduced cost relative to
     ``max|C|`` (see :func:`exact_ot`); the other results report 0.
     """
@@ -73,13 +75,18 @@ def _check_inputs(w, wp, C):
     return w, wp, C
 
 
-def _check_potentials(potentials, w, wp):
-    """Warm potentials ``(f, g)``, when given, must match the weights' shapes."""
-    if potentials is not None:
+def _check_potentials(pairs, w, wp):
+    """Warm potentials, None or one ``(f, g)`` pair per cost, must match the
+    weights' shapes and be finite; all pairs are checked for finiteness at once."""
+    if pairs is None:
+        return
+    for potentials in pairs:
         shapes = tuple(np.shape(p) for p in potentials)
         if shapes != (w.shape, wp.shape):
             raise DimensionError(f"warm potentials {shapes} do not match weights "
                                  f"({w.size},) and ({wp.size},)")
+    if not np.isfinite(np.concatenate([p for pair in pairs for p in pair])).all():
+        raise DomainError("warm potentials: entries must be finite (no NaN/Inf)")
 
 
 def _is_uniform_square(w: np.ndarray, wp: np.ndarray) -> bool:
@@ -175,29 +182,33 @@ def _solve(h) -> int:
     return h.getInfoValue("simplex_iteration_count")[1]
 
 
-def _solution(h, C: np.ndarray):
-    """The solved model's column values, and the reduced costs ``C - u - v``
-    of every cell from its row duals (``v`` is 0 on the dropped last column)."""
+def _solution(h, C: np.ndarray, e: int = 0):
+    """The solved model's column values, the reduced costs ``C - u - v`` of
+    every cell from its row duals (``v`` is 0 on the dropped last column),
+    and those duals as potentials ``(u, v)`` for the costs ``2**e C``."""
     sol = h.getSolution()
     y = np.asarray(sol.row_dual)
-    red = C - y[:C.shape[0], None]
-    red[:, :-1] -= y[C.shape[0]:]
-    return np.asarray(sol.col_value), red
+    n = C.shape[0]
+    red = C - y[:n, None]
+    red[:, :-1] -= y[n:]
+    if e:
+        y = np.ldexp(y, e)
+    return np.asarray(sol.col_value), red, (y[:n], np.concatenate((y[n:], [0.0])))
 
 
 def _scaled(C: np.ndarray):
-    """``C`` times the power of two that puts ``max|C|`` in [0.5, 1), which is
-    exact, and that maximum; an all-zero ``C`` as is, with 1."""
+    """``C`` times the power of two ``2**-e`` that puts ``max|C|`` in [0.5, 1),
+    which is exact, that maximum and ``e``; an all-zero ``C`` as is, 1 and 0."""
     top = float(np.abs(C).max())
     if top == 0.0:
-        return C, 1.0
+        return C, 1.0, 0
     e = int(np.frexp(top)[1])
-    return np.ldexp(C, -e), np.ldexp(top, -e)
+    return np.ldexp(C, -e), np.ldexp(top, -e), e
 
 
 def _transport_lp(w: np.ndarray, wp: np.ndarray, C: np.ndarray):
     """Vertex plan of the full transport LP by HiGHS dual simplex, its
-    iteration count and its certificate.
+    iteration count, its certificate and its potentials.
 
     Runs on this thread's model for ``(w, wp)`` (:func:`_lp_model`) with the
     solver state cleared and the costs replaced, so every solve starts cold:
@@ -211,10 +222,10 @@ def _transport_lp(w: np.ndarray, wp: np.ndarray, C: np.ndarray):
     h.clearSolver()
     h.changeColsCost(cols.size, cols, C.ravel())
     nit = _solve(h)
-    x, red = _solution(h, C)
+    x, red, duals = _solution(h, C)
     top = float(np.abs(C).max()) or 1.0
     if red.min() < -_CERTIFY * top:
-        C, top = _scaled(C)
+        C, top, e = _scaled(C)
         h.changeColsCost(cols.size, cols, C.ravel())
         tol = h.getOptionValue("dual_feasibility_tolerance")[1]
         h.setOptionValue("dual_feasibility_tolerance", _CERTIFY * top)
@@ -222,17 +233,21 @@ def _transport_lp(w: np.ndarray, wp: np.ndarray, C: np.ndarray):
             nit += _solve(h)
         finally:
             h.setOptionValue("dual_feasibility_tolerance", tol)
-        x, red = _solution(h, C)
-    return x.reshape(C.shape), nit, float(red.min()) / top
+        x, red, duals = _solution(h, C, e)
+    return x.reshape(C.shape), nit, float(red.min()) / top, duals
 
 
-def _shortlist_lp(w: np.ndarray, wp: np.ndarray, C: np.ndarray):
+def _shortlist_lp(w: np.ndarray, wp: np.ndarray, C: np.ndarray, potentials):
     """Vertex plan of the transport LP by column generation on a shortlist,
-    its iteration count and its certificate.
+    its iteration count, its certificate and its potentials.
 
-    The first model holds the ``_SHORTLIST_K`` cheapest cells of every row and
-    of every column, and the north-west-corner staircase, so it is feasible;
-    it is solved by dual simplex. Each round then prices every cell from the
+    The first model holds the ``_SHORTLIST_K`` cells of every row and of
+    every column that are cheapest in reduced cost ``C - f - g`` under the
+    warm ``potentials`` ``(f, g)``, in ``C`` itself without them, and the
+    north-west-corner staircase, so it is feasible; it is solved by dual
+    simplex. The previous duals of a cost that drifted a little price its
+    new optimal cells low, so fewer of them are left to price in (Schmitzer,
+    SIAM J. Sci. Comput. 2016). Each round then prices every cell from the
     row duals, adds up to ``_PRICE_PER_ROW`` of the most negative reduced
     costs per row and re-solves warm by primal simplex, until no cell is
     below ``-_CERTIFY max|C|`` (Gottschlich & Schuhmacher, PLoS ONE 2014).
@@ -241,13 +256,17 @@ def _shortlist_lp(w: np.ndarray, wp: np.ndarray, C: np.ndarray):
     on return.
     """
     n, m = C.shape
-    C, top = _scaled(C)
+    Cs, top, e = _scaled(C)
+    # a power of two keeps the order of C - f - g, so it is listed unscaled
+    key = Cs if potentials is None else C - np.add.outer(*potentials)
+    C = Cs
     stop = _CERTIFY * top
     listed = np.zeros((n, m), dtype=bool)
     k = min(_SHORTLIST_K, m)
-    listed[np.arange(n)[:, None], np.argpartition(C, k - 1, axis=1)[:, :k]] = True
+    listed[np.arange(n)[:, None], np.argpartition(key, k - 1, axis=1)[:, :k]] = True
     k = min(_SHORTLIST_K, n)
-    listed[np.argpartition(C, k - 1, axis=0)[:k], np.arange(m)] = True
+    listed[np.argpartition(key, k - 1, axis=0)[:k], np.arange(m)] = True
+    del key
     # each staircase cell with its neighbours below and to the right, so that
     # rounding in the cumulative sums cannot leave a gap
     a, b = np.cumsum(w)[:-1], np.cumsum(wp)[:-1]
@@ -262,7 +281,7 @@ def _shortlist_lp(w: np.ndarray, wp: np.ndarray, C: np.ndarray):
     nit = 0
     while True:
         nit += _solve(h)
-        x, red = _solution(h, C)
+        x, red, duals = _solution(h, C, e)
         worst = float(red.min())
         if worst >= -stop:
             break
@@ -284,10 +303,11 @@ def _shortlist_lp(w: np.ndarray, wp: np.ndarray, C: np.ndarray):
                          highs.simplex_constants.SimplexStrategy.kSimplexStrategyPrimal)
     plan = np.zeros(n * m)
     plan[cells] = x
-    return plan.reshape(n, m), nit, worst / top
+    return plan.reshape(n, m), nit, worst / top, duals
 
 
-def exact_ot(w, wp, C) -> OtResult:
+def exact_ot(w, wp, C,
+             init_potentials: Optional[Tuple[np.ndarray, np.ndarray]] = None) -> OtResult:
     """Solve the transport LP exactly.
 
     Uniform square instances dispatch to the Hungarian algorithm (the optimal
@@ -310,6 +330,15 @@ def exact_ot(w, wp, C) -> OtResult:
       and the violators added until none is left. Its model is built per
       call, so no large model stays resident.
 
+    Every LP result carries its Kantorovich potentials ``(u, v)``, the row
+    duals in the units of ``C`` with ``v`` 0 on the last column, as
+    ``potentials``: ``C - u - v`` are the reduced costs, and ``<w, u> + <w',
+    v>`` is the cost. ``init_potentials`` takes such a pair from the LP of a
+    nearby cost: the shortlist LP then lists the cells cheapest in reduced
+    cost under them instead of in ``C``. The full LP ignores them, so it
+    stays ``linprog``'s; so does the Hungarian path, whose results carry
+    None.
+
     ``certificate`` is the minimum reduced cost ``C_ij - u_i - v_j`` over all
     cells, computed from the row duals, divided by ``max|C|`` (by 1 when
     ``C`` is all zero); the plan is optimal when it is >= 0. HiGHS's own
@@ -319,6 +348,7 @@ def exact_ot(w, wp, C) -> OtResult:
     reports 0.
     """
     w, wp, C = _check_inputs(w, wp, C)
+    _check_potentials(None if init_potentials is None else [init_potentials], w, wp)
     n, m = C.shape
     if _is_uniform_square(w, wp):
         rows, cols = linear_sum_assignment(C)
@@ -327,13 +357,16 @@ def exact_ot(w, wp, C) -> OtResult:
         cost = float((C * plan).sum())
         return OtResult(Coupling(plan, w, wp), cost, iterations=1, converged=True)
 
-    lp = _shortlist_lp if n * m > _SHORTLIST_CELLS else _transport_lp
-    x, nit, certificate = lp(w, wp, C)
+    if n * m > _SHORTLIST_CELLS:
+        x, nit, certificate, potentials = _shortlist_lp(w, wp, C, init_potentials)
+    else:
+        x, nit, certificate, potentials = _transport_lp(w, wp, C)
     plan = np.maximum(x, 0.0)
     cost = float((C * plan).sum())
     coupling = Coupling(plan, w, wp)
     return OtResult(coupling, cost, iterations=int(nit), converged=True,
-                    marginal_error=coupling.marginal_error(), certificate=certificate)
+                    marginal_error=coupling.marginal_error(), potentials=potentials,
+                    certificate=certificate)
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
@@ -374,7 +407,7 @@ def sinkhorn(
         raise DomainError(f"sinkhorn needs eps > 0, got {eps}")
     if max_iter < 1:
         raise DomainError(f"sinkhorn needs max_iter >= 1, got {max_iter}")
-    _check_potentials(init_potentials, w, wp)
+    _check_potentials(None if init_potentials is None else [init_potentials], w, wp)
     log_w = np.log(w)
     log_wp = np.log(wp)
     kernel = -C / eps
@@ -674,8 +707,8 @@ def entropic_ot(
     """
     w, wp, C = _check_inputs(w, wp, C)
     _check_entropic(eps, max_iter, "entropic_ot")
-    _check_potentials(init_potentials, w, wp)
     warm = None if init_potentials is None else [init_potentials]
+    _check_potentials(warm, w, wp)
     return _entropic(w, wp, C[None], eps, max_iter, tol, warm)[0]
 
 
@@ -710,6 +743,5 @@ def entropic_ot_stack(
         if len(init_potentials) != len(C):
             raise DimensionError(f"{len(init_potentials)} warm potential pairs for "
                                  f"{len(C)} costs")
-        for potentials in init_potentials:
-            _check_potentials(potentials, w, wp)
+        _check_potentials(init_potentials, w, wp)
     return _entropic(w, wp, C, eps, max_iter, tol, init_potentials)

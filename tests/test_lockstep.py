@@ -102,13 +102,18 @@ def _case(name):
         mask = _mask(7, 6, 2, 3)
         return CootProblem(Xs, Xt, sample_cost_mask=mask, eps_samples=50.0,
                            eps_features=0.05), 7, False
+    if name == "sq-exact-shortlist":
+        # a 70x50 sample LP, 3,500 cells: each restart lists its shortlist
+        # LPs after the first from its own previous potentials
+        X, X2 = rng.random((70, 12)), rng.random((50, 10))
+        return CootProblem(X, X2), 3, False
     raise ValueError(name)
 
 
 CASES = ["sq-exact-weighted", "abs-entropic-short-samples", "kl-mixed-short-features",
          "sq-mixed-entropic-samples", "sq-entropic-one-restart", "sq-size-one-side",
          "sq-constant-costs", "gw-exact-equal-sizes", "gw-entropic", "hda-masked-exact",
-         "hda-masked-entropic", "hda-masked-auto-penalty"]
+         "hda-masked-entropic", "hda-masked-auto-penalty", "sq-exact-shortlist"]
 
 
 @pytest.mark.parametrize("name", CASES)

@@ -403,3 +403,29 @@ def test_entropic_solvers_reject_non_finite_or_non_positive_eps(solver, eps):
     name = solver.__name__
     with pytest.raises(DomainError, match=f"^{name} needs eps > 0, got {eps}$"):
         solver(w, w, C, eps=eps)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("side", [0, 1])
+@pytest.mark.parametrize("solver", ["sinkhorn", "entropic_ot", "entropic_ot_stack", "exact_ot"])
+def test_solvers_reject_non_finite_warm_potentials(solver, side, bad):
+    """A NaN or infinite warm potential on either side is named and rejected
+    before any solve, also on a side the solver would recompute first, and
+    also by ``exact_ot``'s full LP and Hungarian paths, which ignore them."""
+    w, wp = _random_weights(np.random.default_rng(96), 4), uniform_histogram(3)
+    C = np.random.default_rng(97).random((4, 3))
+    warm = [np.zeros(4), np.zeros(3)]
+    warm[side] = warm[side].copy()
+    warm[side][1] = bad
+    call = {"sinkhorn": lambda: sinkhorn(w, wp, C, 0.1, init_potentials=tuple(warm)),
+            "entropic_ot": lambda: entropic_ot(w, wp, C, 0.1, init_potentials=tuple(warm)),
+            "entropic_ot_stack": lambda: ot.entropic_ot_stack(
+                w, wp, np.stack([C, C]), 0.1, init_potentials=[(np.zeros(4), np.zeros(3)),
+                                                               tuple(warm)]),
+            "exact_ot": lambda: exact_ot(w, wp, C, tuple(warm))}[solver]
+    with pytest.raises(DomainError, match="^warm potentials: entries must be finite"):
+        call()
+    if solver == "exact_ot":
+        u = uniform_histogram(3)
+        with pytest.raises(DomainError, match="^warm potentials"):
+            exact_ot(u, u, C[:3], (warm[0][:3], warm[1]))

@@ -177,3 +177,89 @@ def test_shortlist_lp_property_certified_and_no_dearer_than_full_lp(short, extra
     plan, _, _ = _reference_lp(w, wp, C)
     full = float((C * plan).sum())
     assert res.cost <= full + 1e-12 * abs(full)
+
+
+def _assert_potentials_price_the_plan(res, w, wp, C):
+    """The result's Kantorovich potentials ``(f, g)``: every reduced cost
+    ``C - f - g`` at least ``-1e-9 max|C|``, ``g`` 0 on the last column, and
+    the dual value ``<w, f> + <w', g>`` equal to the cost within ``1e-9
+    max|C|``."""
+    f, g = res.potentials
+    assert f.shape == w.shape and g.shape == wp.shape and g[-1] == 0.0
+    top = np.abs(C).max()
+    assert (C - f[:, None] - g).min() >= -1e-9 * top
+    assert abs(w @ f + wp @ g - res.cost) <= 1e-9 * top
+
+
+_COSTS = ["random", "integer", "low-rank", "1e8", "1e-6"]
+
+
+def _cost(kind, rng, n, m):
+    return {"random": lambda: rng.random((n, m)),
+            "integer": lambda: rng.integers(0, 3, (n, m)).astype(float),
+            "low-rank": lambda: -rng.random((n, 2)) @ rng.random((2, m)),
+            "1e8": lambda: 1e8 * rng.random((n, m)),
+            "1e-6": lambda: 1e-6 * rng.random((n, m))}[kind]()
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(short=st.integers(2, 40), extra=st.integers(0, 10), tall=st.booleans(),
+       uniform=st.booleans(), kind=st.sampled_from(_COSTS), seed=st.integers(0, 2**32 - 1))
+def test_shortlist_lp_property_warm_starts_are_certified_and_as_cheap(short, extra, tall,
+                                                                      uniform, kind, seed):
+    """Above the threshold, a shortlist LP listed from warm potentials ends
+    certified, feasible and at the cold call's cost within ``1e-9 max|C|``,
+    whether the potentials come from a slightly perturbed cost, from an
+    unrelated cost or are zero; every LP result's potentials price its plan."""
+    long = max(short, ot._SHORTLIST_CELLS // short + 1) + extra
+    n, m = (long, short) if tall else (short, long)
+    rng = np.random.default_rng(seed)
+    w, wp = ((uniform_histogram(n), uniform_histogram(m)) if uniform
+             else (_random_weights(rng, n), _random_weights(rng, m)))
+    C = _cost(kind, rng, n, m)
+    top = np.abs(C).max()
+    cold = exact_ot(w, wp, C)
+    perturbed = exact_ot(w, wp, C + 1e-3 * top * rng.random((n, m)))
+    unrelated = exact_ot(w, wp, _cost(kind, rng, n, m))
+    _assert_potentials_price_the_plan(cold, w, wp, C)
+    for warm in (perturbed.potentials, unrelated.potentials, (np.zeros(n), np.zeros(m))):
+        res = exact_ot(w, wp, C, warm)
+        assert res.certificate >= -1e-9
+        assert validate_coupling(res.coupling.plan, w, wp, 1e-9)
+        assert abs(res.cost - cold.cost) <= 1e-9 * top
+        _assert_potentials_price_the_plan(res, w, wp, C)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 40), m=st.integers(1, 40), uniform=st.booleans(),
+       kind=st.sampled_from(_COSTS), seed=st.integers(0, 2**32 - 1))
+def test_full_lp_property_ignores_warm_potentials(n, m, uniform, kind, seed):
+    """At or below the threshold, a warmed call is the cold call bit for bit,
+    in plan and iterations, and its potentials price its plan; a Hungarian
+    result (uniform square) carries none."""
+    rng = np.random.default_rng(seed)
+    w, wp = ((uniform_histogram(n), uniform_histogram(m)) if uniform
+             else (_random_weights(rng, n), _random_weights(rng, m)))
+    C = _cost(kind, rng, n, m)
+    cold = exact_ot(w, wp, C)
+    warm = exact_ot(w, wp, C, exact_ot(w, wp, C + rng.random((n, m))).potentials
+                    or (rng.normal(size=n), rng.normal(size=m)))
+    assert warm.coupling.plan.tobytes() == cold.coupling.plan.tobytes()
+    assert (warm.iterations, warm.certificate) == (cold.iterations, cold.certificate)
+    if ot._is_uniform_square(w, wp):
+        assert cold.potentials is None and warm.potentials is None
+    else:
+        _assert_potentials_price_the_plan(cold, w, wp, C)
+        assert [p.tobytes() for p in warm.potentials] == [p.tobytes() for p in cold.potentials]
+
+
+def test_repaired_full_lp_potentials_are_in_the_units_of_the_cost():
+    """The repair re-solves on costs scaled by a power of two; the potentials
+    it returns are scaled back, so they price the plan in ``C``'s units."""
+    w, wp = uniform_histogram(50), uniform_histogram(40)
+    for scale in (1.0, 2.0**-20, 0.3):
+        C = scale * _product_start_feature_cost()
+        with ThreadPoolExecutor(1) as pool:
+            res = pool.submit(exact_ot, w, wp, C).result(timeout=60)
+        assert _reference_lp(w, wp, C)[2] < -1e-9 <= res.certificate
+        _assert_potentials_price_the_plan(res, w, wp, C)
