@@ -40,10 +40,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _seed(text: str) -> int:
+    """``--seed``: decimal digits, an integer >= 0 as numpy's generators take."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _add_common(p, jobs=True, restarts=True, stochastic=False):
     # seed is mandatory wherever randomness is involved: always for commands
     # with random initializations, otherwise only once restarts kick in
-    p.add_argument("--seed", type=int, required=stochastic, default=None,
+    p.add_argument("--seed", type=_seed, required=stochastic, default=None,
                    help="RNG seed (mandatory for stochastic runs)")
     p.add_argument("--out", type=Path, default=Path("."), help="output directory")
     if restarts:
@@ -125,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-m", type=int, default=None)
     p.add_argument("--separation", type=float, default=4.0)
     p.add_argument("--unequal", action="store_true", help="ramped cluster proportions")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--out", type=Path, default=Path("."))
     return parser
 

@@ -24,10 +24,11 @@ With ``jobs=1`` the restarts advance in lockstep, as one ``(R, ...)`` stack:
 each half-step contracts all running restarts' couplings in one call, an
 entropic side solves them in one :func:`~coopt.ot.entropic_ot_stack` call,
 and an exact side solves their LPs one after another. A restart that has
-converged drops out. With ``jobs > 1``, threads run contiguous shares of
-the restarts as stacks when every side solved is entropic, and otherwise
-pull one restart at a time. Each restart is bitwise what it gives solved
-alone, so results do not depend on ``jobs``.
+converged drops out, keeping only its plans; every solver returns plans
+that own their memory, so none pins a stack. With ``jobs > 1``, threads run
+contiguous shares of the restarts as stacks when every side solved is
+entropic, and otherwise pull one restart at a time. Each restart is bitwise
+what it gives solved alone, so results do not depend on ``jobs``.
 
 :func:`bap_oracle` enumerates all row/column permutation pairs, which is the
 exact optimum for uniform square instances since an optimal pair of vertices
@@ -297,11 +298,12 @@ def _solve_stack(problem: CootProblem, starts: Sequence, tied: bool = False,
 
     Every iteration contracts the couplings of all restarts still running
     as one stack and runs each side's inner solves on that stack
-    (:func:`_inner_side`). A restart that has converged drops out with
-    copies of its plans. Each numpy call computes every slice as it would
-    alone, so solution ``r`` is bitwise the solve of ``starts[r]`` on its
-    own. Memory grows with the number of restarts, so the iteration's stacks
-    are dropped as soon as they are written back.
+    (:func:`_inner_side`). A restart that has converged drops out. Each
+    numpy call computes every slice as it would alone, so solution ``r`` is
+    bitwise the solve of ``starts[r]`` on its own. Memory grows with the
+    number of restarts, so the iteration's stacks are dropped as soon as
+    they are written back, and a stopped restart drops the previous costs
+    it remembers, which are stack slices; its plans own their memory.
 
     Each exact side remembers its last cost and result per restart, and
     :func:`_inner_ot` reuses an exact result when the new cost is the old
@@ -362,38 +364,20 @@ def _solve_stack(problem: CootProblem, starts: Sequence, tied: bool = False,
         moved = np.sqrt(np.vecdot(moved, moved))
         for i, r in enumerate(active):
             traces[r].append(float((costs[i] * ps[r]).sum()))
-            if tied:
-                cost[r] = costs[i]
             if moved[i] <= problem.tol:
                 converged[r] = True
-                _release(r, ps, pv, cost, prev_s, prev_v)
+                # its plans own their memory; the previous costs it drops are slices
+                prev_s[r] = prev_v[r] = None
+            if tied:
+                cost[r] = None if converged[r] else costs[i]
         del costs
         active = [r for r in active if not converged[r]]
-    for r in active:
-        _release(r, ps, pv, cost, prev_s, prev_v)
     return [CootSolution(sample_coupling=Coupling(ps[r], w, wp),
                          feature_coupling=Coupling(pv[r], v, vp),
                          cost=traces[r][-1], objective_trace=traces[r],
                          iterations=len(traces[r]) - 1, converged=converged[r],
                          restart_index=first_index + r)
             for r in range(len(starts))]
-
-
-def _owned(plan: np.ndarray) -> np.ndarray:
-    """``plan``, or a copy of it when it is a slice of a larger stack."""
-    return plan if plan.base is None or plan.base.size == plan.size else plan.copy()
-
-
-def _release(r: int, ps: list, pv: list, cost, prev_s: list, prev_v: list) -> None:
-    """Restart ``r`` has stopped: plans that are slices of a stack become
-    copies, and it drops the rest of its state, so it keeps no iteration's
-    stack alive."""
-    ps[r] = _owned(ps[r])
-    if pv is not ps:
-        pv[r] = _owned(pv[r])
-    if cost is not None:
-        cost[r] = None
-    prev_s[r] = prev_v[r] = None
 
 
 def _solve_single(problem: CootProblem,
@@ -422,6 +406,8 @@ def _best_restart(problem: CootProblem, restarts: int, seed: int,
         raise DomainError("restarts must be >= 1")
     if jobs < 1:
         raise DomainError("jobs must be >= 1")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     starts = _starts(problem, restarts, seed, tied)
     entropic = problem.eps_samples > 0 and (tied or problem.eps_features > 0)
     if jobs == 1 or len(starts) == 1:

@@ -394,7 +394,7 @@ def sinkhorn(
     ----------
     eps : regularization strength, finite and > 0.
     max_iter : cap on full (row, column) update sweeps, >= 1.
-    tol : L1 marginal residual target.
+    tol : L1 marginal residual target, >= 0.
     init_potentials : optional ``(f, g)`` warm start from a previous run.
 
     Returns
@@ -403,10 +403,7 @@ def sinkhorn(
     still the best available iterate and carries its ``marginal_error``.
     """
     w, wp, C = _check_inputs(w, wp, C)
-    if not 0 < eps < np.inf:
-        raise DomainError(f"sinkhorn needs eps > 0, got {eps}")
-    if max_iter < 1:
-        raise DomainError(f"sinkhorn needs max_iter >= 1, got {max_iter}")
+    _check_entropic(eps, max_iter, tol, "sinkhorn")
     _check_potentials(None if init_potentials is None else [init_potentials], w, wp)
     log_w = np.log(w)
     log_wp = np.log(wp)
@@ -658,17 +655,20 @@ def _entropic(w, wp, C, eps, max_iter, tol, init_potentials):
     plan = np.ascontiguousarray(plan)
     err = _residuals(plan, w, wp)[0]
     cost = (C * plan).sum(axis=(1, 2))
-    return [OtResult(Coupling(plan[r], w, wp), float(cost[r]), iterations=int(steps[r]),
-                     converged=bool(err[r] <= tol), marginal_error=float(err[r]),
-                     potentials=(f[r], g[r]))
+    # each result owns its plan, so that none keeps the whole stack alive
+    return [OtResult(Coupling(plan[r] if R == 1 else plan[r].copy(), w, wp), float(cost[r]),
+                     iterations=int(steps[r]), converged=bool(err[r] <= tol),
+                     marginal_error=float(err[r]), potentials=(f[r], g[r]))
             for r in range(R)]
 
 
-def _check_entropic(eps, max_iter, name):
+def _check_entropic(eps, max_iter, tol, name):
     if not 0 < eps < np.inf:
         raise DomainError(f"{name} needs eps > 0, got {eps}")
     if max_iter < 1:
         raise DomainError(f"{name} needs max_iter >= 1, got {max_iter}")
+    if not tol >= 0:
+        raise DomainError(f"{name} needs tol >= 0, got {tol}")
 
 
 def entropic_ot(
@@ -706,7 +706,7 @@ def entropic_ot(
     same Newton body on a stack of costs.
     """
     w, wp, C = _check_inputs(w, wp, C)
-    _check_entropic(eps, max_iter, "entropic_ot")
+    _check_entropic(eps, max_iter, tol, "entropic_ot")
     warm = None if init_potentials is None else [init_potentials]
     _check_potentials(warm, w, wp)
     return _entropic(w, wp, C[None], eps, max_iter, tol, warm)[0]
@@ -728,7 +728,8 @@ def entropic_ot_stack(
     what makes many small solves cheap; every per-cost decision (the warm
     try, the line search, the continuation stages, stopping) is taken per
     cost. Result ``r`` is bitwise ``entropic_ot(w, wp, C[r], eps, max_iter,
-    tol, init_potentials[r])``.
+    tol, init_potentials[r])`` and owns its plan (a copy out of the stack
+    when there are several), so keeping it keeps no other cost's plan alive.
     """
     w = as_histogram(w, "w")
     wp = as_histogram(wp, "w'")
@@ -738,7 +739,7 @@ def entropic_ot_stack(
                              f"({w.size}, {wp.size})")
     if not np.isfinite(C).all():
         raise DomainError("cost: entries must be finite (no NaN/Inf)")
-    _check_entropic(eps, max_iter, "entropic_ot")
+    _check_entropic(eps, max_iter, tol, "entropic_ot_stack")
     if init_potentials is not None:
         if len(init_potentials) != len(C):
             raise DimensionError(f"{len(init_potentials)} warm potential pairs for "

@@ -443,3 +443,36 @@ def test_gw_non_finite_eps_or_bad_tol_is_a_domain_error(tmp_path, flags):
     out = tmp_path / "gw"
     assert run(["gw", "--x", x, "--y", x, "--points", *flags, "--out", out]) == 3
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["coot", "--x", "a.csv", "--y", "b.csv", "--restarts", "2"],
+    ["gw", "--x", "a.csv", "--y", "b.csv", "--restarts", "2"],
+    ["cocluster", "--x", "a.csv", "-g", "2", "-m", "2"],
+    ["hda", "--xs", "a.csv", "--xt", "b.csv", "--ys", "c.csv", "--restarts", "2"],
+    ["election", "--x", "a.csv", "--y", "b.csv", "--restarts", "2"],
+    ["gen", "--preset", "D1"],
+])
+@pytest.mark.parametrize("seed", ["-1", "-0", "1.5", "x"])
+def test_seed_must_be_a_non_negative_integer(tmp_path, capsys, argv, seed):
+    """A bad seed is a usage error, found before any file is read."""
+    assert run(argv + ["--seed", seed, "--out", tmp_path / "out"]) == 1
+    assert f"argument --seed: must be an integer >= 0, got '{seed}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_hda_non_numeric_penalty_is_a_domain_error(tmp_path, capsys):
+    xs = tmp_path / "xs.csv"
+    ys = tmp_path / "ys.csv"
+    write_matrix_csv(xs, np.arange(6.0).reshape(3, 2))
+    write_labels_csv(ys, [0, 1, 0])
+    assert run(["hda", "--xs", xs, "--xt", xs, "--ys", ys, "--penalty", "abc",
+                "--out", tmp_path / "hda"]) == 3
+    assert "--penalty must be 'auto' or a number, got 'abc'" in capsys.readouterr().err
+
+
+def test_gen_without_preset_or_sizes_names_the_missing_flags(tmp_path, capsys):
+    assert run(["gen", "--n", "30", "-g", "2", "--seed", "0", "--out", tmp_path / "g"]) == 3
+    assert "missing ['--d', '-m']" in capsys.readouterr().err
+    assert run(["gen", "--seed", "0", "--out", tmp_path / "g"]) == 3
+    assert "missing ['--n', '--d', '-g', '-m']" in capsys.readouterr().err

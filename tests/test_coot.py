@@ -426,3 +426,38 @@ def test_exact_side_reuse_bound(moved, reused, monkeypatch):
     warm = C, coot.entropic_ot(w, wp, C, 0.1)
     entropic = coot._inner_ot(w, wp, C, 0.1, problem, warm)
     assert entropic is not warm[1] and entropic.converged
+
+
+def test_solvers_reject_a_negative_seed():
+    X = np.random.default_rng(48).random((3, 2))
+    with pytest.raises(DomainError, match="^seed must be >= 0, got -1$"):
+        solve_coot(CootProblem(X, X), restarts=2, seed=-1)
+    C = sqeuclid_matrix(X)
+    with pytest.raises(DomainError, match="^seed must be >= 0, got -1$"):
+        solve_gw_dc(C, C, restarts=2, seed=-1)
+
+
+def test_problem_rejects_weights_and_masks_of_the_wrong_size():
+    X = np.random.default_rng(49).random((4, 3))
+    X2 = np.random.default_rng(50).random((5, 2))
+    for weights in ({"w": uniform_histogram(5)}, {"wp": uniform_histogram(4)},
+                    {"v": uniform_histogram(2)}, {"vp": uniform_histogram(3)}):
+        with pytest.raises(DimensionError, match="^weight lengths do not match"):
+            CootProblem(X, X2, **weights)
+    with pytest.raises(DimensionError, match=r"^sample cost mask must be \(4, 5\), got \(5, 4\)$"):
+        CootProblem(X, X2, sample_cost_mask=np.zeros((5, 4)))
+
+
+def test_stacked_entropic_solutions_own_their_plans():
+    """A restart that stops keeps only its plans, and no plan is a slice of
+    an iteration's stack, also in the tied case."""
+    rng = np.random.default_rng(51)
+    problem = CootProblem(rng.random((7, 5)), rng.random((6, 4)),
+                          eps_samples=0.05, eps_features=0.05)
+    C = sqeuclid_matrix(rng.random((6, 2)))
+    tied = CootProblem(C.matrix, C.matrix, eps_samples=0.05)
+    for prob, is_tied in ((problem, False), (tied, True)):
+        solutions = coot._solve_stack(prob, coot._starts(prob, 4, 0, is_tied), is_tied)
+        for sol in solutions:
+            for plan in (sol.sample_coupling.plan, sol.feature_coupling.plan):
+                assert plan.base is None or plan.base.size == plan.size

@@ -429,3 +429,87 @@ def test_solvers_reject_non_finite_warm_potentials(solver, side, bad):
         u = uniform_histogram(3)
         with pytest.raises(DomainError, match="^warm potentials"):
             exact_ot(u, u, C[:3], (warm[0][:3], warm[1]))
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1.0, -np.inf])
+@pytest.mark.parametrize("solver", ["sinkhorn", "entropic_ot", "entropic_ot_stack"])
+def test_entropic_solvers_reject_nan_or_negative_tol(solver, tol):
+    """A NaN tolerance would stop the solve after no Newton step at the first
+    continuation stage's eps, and a negative one would run it to its cap."""
+    w = uniform_histogram(3)
+    C = np.random.default_rng(98).random((3, 3))
+    call = {"sinkhorn": lambda: sinkhorn(w, w, C, 0.1, tol=tol),
+            "entropic_ot": lambda: entropic_ot(w, w, C, 0.1, tol=tol),
+            "entropic_ot_stack": lambda: ot.entropic_ot_stack(w, w, C[None], 0.1, tol=tol)}
+    with pytest.raises(DomainError, match=f"^{solver} needs tol >= 0, got {tol}$"):
+        call[solver]()
+
+
+def test_entropic_ot_stack_names_itself_in_its_errors():
+    w = uniform_histogram(3)
+    C = np.random.default_rng(99).random((2, 3, 3))
+    with pytest.raises(DomainError, match="^entropic_ot_stack needs eps > 0"):
+        ot.entropic_ot_stack(w, w, C, 0.0)
+    with pytest.raises(DomainError, match="^entropic_ot_stack needs max_iter >= 1"):
+        ot.entropic_ot_stack(w, w, C, 0.1, max_iter=0)
+
+
+def test_entropic_ot_stack_rejects_bad_stacks_and_warm_counts():
+    w, wp = uniform_histogram(4), uniform_histogram(3)
+    C = np.random.default_rng(100).random((2, 4, 3))
+    for bad in (C[:, :3], C.transpose(0, 2, 1), C[:0], C[0]):
+        with pytest.raises(DimensionError, match="^cost stack shape"):
+            ot.entropic_ot_stack(w, wp, bad, 0.1)
+    for value in (np.nan, np.inf):
+        bad = C.copy()
+        bad[1, 2, 0] = value
+        with pytest.raises(DomainError, match="^cost: entries must be finite"):
+            ot.entropic_ot_stack(w, wp, bad, 0.1)
+    warm = [(np.zeros(4), np.zeros(3))] * 3
+    with pytest.raises(DimensionError, match="^3 warm potential pairs for 2 costs$"):
+        ot.entropic_ot_stack(w, wp, C, 0.1, init_potentials=warm)
+
+
+def test_line_search_floor_stops_some_costs_of_a_stack(monkeypatch):
+    """With the step floor above 1/2, every cost whose full Newton step is
+    rejected bottoms out, while others of the same stack still step, so the
+    floor is reached both with the whole stack going and with part of it
+    stopped. Each result is bitwise its cost solved alone under that floor."""
+    monkeypatch.setattr(ot, "_MIN_STEP", 0.75)
+    rng = np.random.default_rng(0)
+    w, wp = _random_weights(rng, 9), _random_weights(rng, 6)
+    C = rng.random((4, 9, 6)) * np.array([1.0, 3.0, 10.0, 0.1])[:, None, None]
+    results = ot.entropic_ot_stack(w, wp, C, 0.01)
+    assert {res.converged for res in results} == {True, False}
+    for c, res in zip(C, results):
+        alone = entropic_ot(w, wp, c, 0.01)
+        assert res.coupling.plan.tobytes() == alone.coupling.plan.tobytes()
+        assert [p.tobytes() for p in res.potentials] == [p.tobytes() for p in alone.potentials]
+        assert (res.iterations, res.converged, res.cost, res.marginal_error) == (
+            alone.iterations, alone.converged, alone.cost, alone.marginal_error)
+
+
+def test_exact_ot_all_zero_cost_above_the_shortlist_threshold():
+    rng = np.random.default_rng(101)
+    w, wp = _random_weights(rng, 60), _random_weights(rng, 55)
+    res = exact_ot(w, wp, np.zeros((60, 55)))
+    assert validate_coupling(res.coupling.plan, w, wp, 1e-9)
+    assert res.certificate == 0.0
+    assert res.cost == 0.0
+
+
+@pytest.mark.parametrize("shape", [(9, 6), (4, 11)])
+def test_entropic_ot_stack_results_own_their_plans(shape):
+    """No result of a stack is a view of the stack, so keeping one result
+    keeps no other cost's plan alive, and writing into one plan leaves the
+    others unchanged."""
+    rng = np.random.default_rng(102)
+    w, wp = _random_weights(rng, shape[0]), _random_weights(rng, shape[1])
+    results = ot.entropic_ot_stack(w, wp, rng.random((3, *shape)), 0.05)
+    before = [res.coupling.plan.copy() for res in results]
+    for res in results:
+        plan = res.coupling.plan
+        assert plan.base is None or plan.base.size == plan.size
+    results[1].coupling.plan[...] = -1.0
+    for r in (0, 2):
+        assert results[r].coupling.plan.tobytes() == before[r].tobytes()
