@@ -115,6 +115,8 @@ def cocluster(
         raise DimensionError(f"need 1 <= g <= n and 1 <= m <= d, got g={g}, m={m}")
     if outer_iter < 1:
         raise ConfigError("outer_iter must be >= 1")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     scale = float(X.std())
     summary = rng.normal(float(X.mean()), scale if scale > 0 else 1.0, (g, m))
@@ -199,6 +201,8 @@ class BlockConfig:
     def __post_init__(self):
         if self.n < self.row_clusters or self.d < self.col_clusters:
             raise ConfigError("fewer rows/columns than clusters")
+        if not np.isfinite(self.separation):
+            raise ConfigError(f"separation must be finite, got {self.separation}")
         for name, props, k in (
             ("row", self.row_proportions, self.row_clusters),
             ("col", self.col_proportions, self.col_clusters),
@@ -250,6 +254,8 @@ def generate_blocks(config: BlockConfig, seed: int):
 
     Returns ``(X, row_labels, col_labels)``; deterministic for a fixed seed.
     """
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     g, m = config.row_clusters, config.col_clusters
     rng = np.random.default_rng(seed)
     means = config.separation * rng.permutation(g * m).reshape(g, m).astype(np.float64)
@@ -363,13 +369,17 @@ def hda_pipeline(
     ``target_labels`` (integers, -1 for unlabeled) switch on the
     semi-supervised mask: the class-mismatch indicator is added to the
     sample-side cost inside every iteration, scaled by ``penalty`` (auto
-    when None).
+    when None). Each label array needs one entry per row of its data.
     """
+    Xs, Xt = as_matrix(Xs, "X"), as_matrix(Xt, "X'")
     Ys = one_hot_labels(source_labels, num_classes)
-    k = Ys.shape[1]
+    if len(Ys) != len(Xs):
+        raise DimensionError(f"got {len(Ys)} source labels for {len(Xs)} source rows")
     mask = None
     if target_labels is not None:
-        Yt = one_hot_labels(target_labels, k)
+        Yt = one_hot_labels(target_labels, Ys.shape[1])
+        if len(Yt) != len(Xt):
+            raise DimensionError(f"got {len(Yt)} target labels for {len(Xt)} target rows")
         mask = class_mismatch_mask(Ys, Yt)
     problem = CootProblem(
         Xs, Xt, loss=loss, eps_samples=eps1, eps_features=eps2,

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ import numpy as np
 from . import apps, fileio
 from .coot import CootProblem, solve_coot
 from .core import CooptError, DomainError, LOSSES, as_histogram
-from .fileio import RunReport, Stopwatch
+from .fileio import RunReport
 from .gw import solve_gw_dc, sqeuclid_matrix
 
 EXIT_OK = 0
@@ -82,6 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="feature weights for --x: CSV path or 'mean' (column-mean weighting)")
     p.add_argument("--vy", default=None, help="feature weights for --y: CSV path or 'mean'")
     _add_common(p)
+    p.set_defaults(run=cmd_coot)
 
     p = sub.add_parser("gw", help="couple two similarity matrices with one plan")
     p.add_argument("--x", type=Path, required=True)
@@ -93,6 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iter", type=int, default=100)
     p.add_argument("--tol", type=float, default=1e-9)
     _add_common(p, jobs=False)
+    p.set_defaults(run=cmd_gw)
 
     p = sub.add_parser("cocluster", help="joint row/column clustering")
     p.add_argument("--x", type=Path, required=True)
@@ -105,6 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", type=Path, default=None,
                    help="directory holding rows.csv/cols.csv ground truth")
     _add_common(p, jobs=False, restarts=False, stochastic=True)
+    p.set_defaults(run=cmd_cocluster)
 
     p = sub.add_parser("hda", help="propagate labels across heterogeneous domains")
     p.add_argument("--xs", type=Path, required=True, help="source data matrix")
@@ -118,11 +122,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps1", type=float, default=0.0)
     p.add_argument("--eps2", type=float, default=0.0)
     _add_common(p)
+    p.set_defaults(run=cmd_hda)
 
     p = sub.add_parser("election", help="rank-disagreement distance between elections")
     p.add_argument("--x", type=Path, required=True, help="voter-by-candidate rank matrix")
     p.add_argument("--y", type=Path, required=True)
     _add_common(p)
+    p.set_defaults(run=cmd_election)
 
     p = sub.add_parser("gen", help="generate simulated block data")
     p.add_argument("--preset", choices=sorted(apps.BLOCK_PRESETS), default=None)
@@ -134,6 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--unequal", action="store_true", help="ramped cluster proportions")
     p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--out", type=Path, default=Path("."))
+    p.set_defaults(run=cmd_gen)
     return parser
 
 
@@ -150,7 +157,7 @@ def _feature_weights(flag, X, name):
 
 
 def _echo_config(args) -> dict:
-    skip = {"command"}
+    skip = {"command", "run"}
     return {
         k: (str(v) if isinstance(v, Path) else v)
         for k, v in sorted(vars(args).items())
@@ -158,11 +165,12 @@ def _echo_config(args) -> dict:
     }
 
 
-def _finish(args, clock: Stopwatch, cost, iterations: int, converged: bool,
+def _finish(args, started: float, cost, iterations: int, converged: bool,
             files=(), couplings=(), extra=None) -> int:
     """Write the artifacts and ``report.json`` into ``--out``; return the exit code.
 
-    ``files`` and ``couplings`` are ``(stem, array)`` pairs written as
+    ``wallMillis`` runs from ``started``, :func:`main`'s ``perf_counter`` at
+    dispatch. ``files`` and ``couplings`` are ``(stem, array)`` pairs written as
     ``<stem>.csv`` in that order: 1-D arrays as labels, 2-D as matrices.
     Each coupling also gets a ``<stem>.pgm`` under ``--heatmaps``.
     """
@@ -179,7 +187,8 @@ def _finish(args, clock: Stopwatch, cost, iterations: int, converged: bool,
             pgm_path = args.out / f"{stem}.pgm"
             fileio.export_heatmap(data, pgm_path)
             outputs.append(str(pgm_path))
-    report = RunReport(args.command, args.seed, cost, iterations, converged, clock.millis(),
+    millis = (time.perf_counter() - started) * 1000.0
+    report = RunReport(args.command, args.seed, cost, iterations, converged, millis,
                        outputs, _echo_config(args), extra or {})
     report.write(args.out / "report.json")
     print(report.to_json(), end="")
@@ -188,12 +197,15 @@ def _finish(args, clock: Stopwatch, cost, iterations: int, converged: bool,
     return EXIT_NOT_CONVERGED
 
 
-def _pair(sol):
-    return [("pi_s", sol.sample_coupling.plan), ("pi_v", sol.feature_coupling.plan)]
+def _solved(sol, **fields) -> dict:
+    """:func:`_finish`'s fields for a COOT solution, both couplings included;
+    ``fields`` add to them or override them."""
+    return {"cost": sol.cost, "iterations": sol.iterations, "converged": sol.converged,
+            "couplings": [("pi_s", sol.sample_coupling.plan),
+                          ("pi_v", sol.feature_coupling.plan)], **fields}
 
 
-def cmd_coot(args) -> int:
-    clock = Stopwatch()
+def cmd_coot(args) -> dict:
     X = fileio.read_matrix_csv(args.x)
     Y = fileio.read_matrix_csv(args.y)
     problem = CootProblem(
@@ -209,11 +221,10 @@ def cmd_coot(args) -> int:
         tol=args.tol,
     )
     sol = solve_coot(problem, restarts=args.restarts, seed=args.seed, jobs=args.jobs)
-    return _finish(args, clock, sol.cost, sol.iterations, sol.converged, couplings=_pair(sol))
+    return _solved(sol)
 
 
-def cmd_gw(args) -> int:
-    clock = Stopwatch()
+def cmd_gw(args) -> dict:
     X = fileio.read_matrix_csv(args.x)
     Y = fileio.read_matrix_csv(args.y)
     if args.points:
@@ -223,12 +234,11 @@ def cmd_gw(args) -> int:
     sol = solve_gw_dc(C, C2, loss=LOSSES[args.loss], eps=args.eps,
                       max_iter=args.max_iter, tol=args.tol,
                       restarts=args.restarts, seed=args.seed)
-    return _finish(args, clock, sol.cost, sol.iterations, sol.converged,
-                   couplings=[("pi", sol.coupling.plan)])
+    return {"cost": sol.cost, "iterations": sol.iterations, "converged": sol.converged,
+            "couplings": [("pi", sol.coupling.plan)]}
 
 
-def cmd_cocluster(args) -> int:
-    clock = Stopwatch()
+def cmd_cocluster(args) -> dict:
     X = fileio.read_matrix_csv(args.x)
     clustering = apps.cocluster(
         X, args.g, args.m, eps1=args.eps1, eps2=args.eps2,
@@ -241,16 +251,14 @@ def cmd_cocluster(args) -> int:
         extra["cce"] = apps.cce(clustering.row_labels, true_rows,
                                 clustering.col_labels, true_cols)
     sol = clustering.solution
-    return _finish(args, clock, sol.cost, len(clustering.objective_trace),
-                   clustering.converged and sol.converged,
+    return _solved(sol, iterations=len(clustering.objective_trace),
+                   converged=clustering.converged and sol.converged,
                    files=[("row_labels", clustering.row_labels),
                           ("col_labels", clustering.col_labels),
-                          ("xc", clustering.summary)],
-                   couplings=_pair(sol), extra=extra)
+                          ("xc", clustering.summary)], extra=extra)
 
 
-def cmd_hda(args) -> int:
-    clock = Stopwatch()
+def cmd_hda(args) -> dict:
     Xs = fileio.read_matrix_csv(args.xs)
     Xt = fileio.read_matrix_csv(args.xt)
     ys = fileio.read_labels_csv(args.ys)
@@ -268,22 +276,18 @@ def cmd_hda(args) -> int:
         seed=args.seed, jobs=args.jobs, penalty=penalty,
     )
     sol = result.solution
-    return _finish(args, clock, sol.cost, sol.iterations, sol.converged,
-                   files=[("labels", result.labels), ("scores", result.scores)],
-                   couplings=_pair(sol))
+    return _solved(sol, files=[("labels", result.labels), ("scores", result.scores)])
 
 
-def cmd_election(args) -> int:
-    clock = Stopwatch()
+def cmd_election(args) -> dict:
     E = fileio.read_matrix_csv(args.x)
     E2 = fileio.read_matrix_csv(args.y)
     distance, sol = apps.election_solution(E, E2, restarts=args.restarts,
                                            seed=args.seed, jobs=args.jobs)
-    return _finish(args, clock, distance, sol.iterations, sol.converged, couplings=_pair(sol))
+    return _solved(sol, cost=distance)
 
 
-def cmd_gen(args) -> int:
-    clock = Stopwatch()
+def cmd_gen(args) -> dict:
     if args.preset is not None:
         config = apps.BLOCK_PRESETS[args.preset]
     else:
@@ -296,18 +300,8 @@ def cmd_gen(args) -> int:
         config = apps.BlockConfig(args.n, args.d, args.g, args.m,
                                   make(args.g), make(args.m), args.separation)
     X, rows, cols = apps.generate_blocks(config, args.seed)
-    return _finish(args, clock, None, 0, True,
-                   files=[("X", X), ("rows", rows), ("cols", cols)])
-
-
-_COMMANDS = {
-    "coot": cmd_coot,
-    "gw": cmd_gw,
-    "cocluster": cmd_cocluster,
-    "hda": cmd_hda,
-    "election": cmd_election,
-    "gen": cmd_gen,
-}
+    return {"cost": None, "iterations": 0, "converged": True,
+            "files": [("X", X), ("rows", rows), ("cols", cols)]}
 
 
 # build_parser's parser, made on the first call of main and reused: parsing
@@ -326,8 +320,9 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return EXIT_USAGE
         args.seed = 0
+    started = time.perf_counter()
     try:
-        return _COMMANDS[args.command](args)
+        return _finish(args, started, **args.run(args))
     except (OSError, ValueError) as exc:
         print(f"coopt {args.command}: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -150,7 +150,8 @@ class CootSolution:
 
     ``cost`` excludes the entropic terms so sweeps over ``eps`` stay
     comparable. ``objective_trace[0]`` is the value at the initialization and
-    one entry follows per completed iteration.
+    one entry follows per completed iteration. ``converged``: the last
+    iteration met ``tol`` and every inner result the restart took converged.
     """
 
     sample_coupling: Coupling
@@ -329,6 +330,7 @@ def _solve_stack(problem: CootProblem, starts: Sequence, tied: bool = False,
     prev_v = [None] * len(starts)
     prev_s = [None] * len(starts)
     converged = [False] * len(starts)
+    inner_ok = [True] * len(starts)  # every inner result so far converged
     active = list(range(len(starts)))
     for _ in range(problem.max_iter):
         if not active:
@@ -341,6 +343,7 @@ def _solve_stack(problem: CootProblem, starts: Sequence, tied: bool = False,
             for r, c, res in zip(active, feat_cost, results):
                 prev_v[r] = c if keep_v else None, res
                 pv[r] = res.coupling.plan
+                inner_ok[r] = inner_ok[r] and res.converged
             costs = contraction.contract(_stack([pv[r] for r in active]), Side.SAMPLE)
             del feat_cost
         else:
@@ -351,6 +354,7 @@ def _solve_stack(problem: CootProblem, starts: Sequence, tied: bool = False,
         for r, c, res in zip(active, sample_cost, results):
             prev_s[r] = c if keep_s else None, res
             ps[r] = res.coupling.plan
+            inner_ok[r] = inner_ok[r] and res.converged
         del sample_cost, results
         if tied:
             plans = _stack([ps[r] for r in active])
@@ -375,7 +379,7 @@ def _solve_stack(problem: CootProblem, starts: Sequence, tied: bool = False,
     return [CootSolution(sample_coupling=Coupling(ps[r], w, wp),
                          feature_coupling=Coupling(pv[r], v, vp),
                          cost=traces[r][-1], objective_trace=traces[r],
-                         iterations=len(traces[r]) - 1, converged=converged[r],
+                         iterations=len(traces[r]) - 1, converged=converged[r] and inner_ok[r],
                          restart_index=first_index + r)
             for r in range(len(starts))]
 
@@ -440,7 +444,8 @@ def solve_coot(
     independent of ``jobs``: with ``jobs=1`` all restarts run as one lockstep
     stack; with more, ``jobs`` threads each run a share of the restarts as a
     stack when both sides are entropic, and otherwise pull one restart at a
-    time.
+    time. An entropic inner solve stopped at its Newton cap above its
+    tolerance leaves the solution unconverged, as the outer cap does.
     """
     return _best_restart(problem, restarts, seed, jobs)
 

@@ -103,7 +103,7 @@ class Loss:
     contraction kernels. All callables are numpy-vectorized.
 
     ``a_min``/``b_min`` describe the valid domain: entries on the first
-    (resp. second) slot must be >= a_min (resp. > b_min when b_open).
+    slot must be >= a_min, and entries on the second slot > b_min.
     """
 
     name: str

@@ -8,7 +8,6 @@ bit-exactly; identical inputs therefore produce byte-identical artifacts.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional
@@ -30,20 +29,29 @@ __all__ = [
 _FMT = "%.17g"
 
 
-def read_matrix_csv(path) -> np.ndarray:
-    """Headerless comma-separated matrix, one row per line."""
-    rows: List[List[float]] = []
+def _read_lines(path, parse, what: str, kind: str) -> list:
+    """``parse`` of each stripped, non-blank line of ``path``. A line that
+    ``parse`` rejects is reported as not ``what``; a file without one line,
+    as an empty ``kind`` file."""
+    values = []
     with open(path, "r", encoding="ascii") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             try:
-                rows.append([float(tok) for tok in line.split(",")])
+                values.append(parse(line))
             except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: not a numeric row ({exc})") from exc
-    if not rows:
-        raise ValueError(f"{path}: empty matrix file")
+                raise ValueError(f"{path}:{lineno}: not {what} ({exc})") from exc
+    if not values:
+        raise ValueError(f"{path}: empty {kind} file")
+    return values
+
+
+def read_matrix_csv(path) -> np.ndarray:
+    """Headerless comma-separated matrix, one row per line."""
+    rows = _read_lines(path, lambda line: [float(tok) for tok in line.split(",")],
+                       "a numeric row", "matrix")
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise ValueError(f"{path}: ragged rows (expected {width} columns everywhere)")
@@ -59,8 +67,8 @@ def write_matrix_csv(path, matrix) -> None:
 
 
 def read_weights_csv(path) -> np.ndarray:
-    """Single-column CSV of nonnegative weights, one per line; any other
-    shape raises ``ValueError``."""
+    """Single-column CSV of strictly positive weights, one per line; any
+    other shape raises ``ValueError``."""
     matrix = read_matrix_csv(path)
     if matrix.shape[1] != 1:
         raise ValueError(f"{path}: weights must be a single column, got shape {matrix.shape}")
@@ -69,19 +77,7 @@ def read_weights_csv(path) -> np.ndarray:
 
 def read_labels_csv(path) -> np.ndarray:
     """One integer class per line; -1 denotes an unlabeled sample."""
-    labels: List[int] = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                labels.append(int(line))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: not an integer label") from exc
-    if not labels:
-        raise ValueError(f"{path}: empty label file")
-    return np.asarray(labels, dtype=np.int64)
+    return np.asarray(_read_lines(path, int, "an integer label", "label"), dtype=np.int64)
 
 
 def write_labels_csv(path, labels) -> None:
@@ -142,11 +138,3 @@ class RunReport:
 
     def write(self, path) -> None:
         Path(path).write_text(self.to_json(), encoding="ascii")
-
-
-class Stopwatch:
-    def __init__(self):
-        self.start = time.perf_counter()
-
-    def millis(self) -> float:
-        return (time.perf_counter() - self.start) * 1000.0

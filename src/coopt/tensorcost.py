@@ -215,11 +215,9 @@ def contract_factored(X, X2, pi, loss: Loss, side: Side) -> ContractedCost:
 
 
 def contract(X, X2, pi, loss: Loss, side: Side) -> np.ndarray:
-    """Contracted cost matrix, factored when the loss allows it: the one-off
-    form of :meth:`PreparedContraction.contract`."""
-    if loss.has_decomposition:
-        return contract_factored(X, X2, pi, loss, side).matrix
-    return contract_naive(X, X2, pi, loss, side).matrix
+    """Contracted cost matrix of one coupling, factored when the loss allows
+    it: the one-off form of :meth:`PreparedContraction.contract`."""
+    return PreparedContraction(X, X2, loss).contract(plan_array(pi), side)
 
 
 def coot_objective(X, X2, sample_plan, feature_plan, loss: Loss) -> float:

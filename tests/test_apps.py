@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.cluster.vq import kmeans2
 
+import coopt.apps
 from coopt import (
     BLOCK_PRESETS,
     BlockConfig,
@@ -395,3 +396,30 @@ def test_cocluster_entropic_inner_solves_converge_on_d1(entropic_calls):
     result = cocluster(X, 3, 3, seed=0)
     assert entropic_calls and all(res.converged for res in entropic_calls)
     assert cce(result.row_labels, rows, result.col_labels, cols) == 0.0
+
+
+def test_hda_pipeline_checks_label_counts_before_solving(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the label counts were checked")
+
+    monkeypatch.setattr(coopt.apps, "solve_coot", no_solve)
+    rng = np.random.default_rng(12)
+    Xs, Xt = rng.random((40, 5)), rng.random((30, 4))
+    with pytest.raises(DimensionError, match="got 39 source labels for 40 source rows"):
+        hda_pipeline(Xs, Xt, np.arange(39) % 3)
+    with pytest.raises(DimensionError, match="got 29 target labels for 30 target rows"):
+        hda_pipeline(Xs, Xt, np.arange(40) % 3, target_labels=np.full(29, -1))
+
+
+@pytest.mark.parametrize("separation", [np.inf, -np.inf, np.nan])
+def test_block_config_rejects_non_finite_separation(separation):
+    with pytest.raises(ConfigError, match="separation must be finite"):
+        BlockConfig(10, 6, 2, 2, (0.5, 0.5), (0.5, 0.5), separation)
+
+
+def test_cocluster_and_generate_blocks_reject_a_negative_seed():
+    with pytest.raises(DomainError, match="^seed must be >= 0, got -1$"):
+        cocluster(np.random.default_rng(1).random((6, 4)), 2, 2, seed=-1)
+    config = BlockConfig(10, 6, 2, 2, (0.5, 0.5), (0.5, 0.5), 4.0)
+    with pytest.raises(DomainError, match="^seed must be >= 0, got -1$"):
+        generate_blocks(config, -1)

@@ -476,3 +476,24 @@ def test_gen_without_preset_or_sizes_names_the_missing_flags(tmp_path, capsys):
     assert "missing ['--d', '-m']" in capsys.readouterr().err
     assert run(["gen", "--seed", "0", "--out", tmp_path / "g"]) == 3
     assert "missing ['--n', '--d', '-g', '-m']" in capsys.readouterr().err
+
+
+def test_coot_exits_4_when_an_inner_solve_does_not_converge(tmp_path):
+    """At 1e8 magnitudes some abs-loss entropic calls end above their
+    tolerance, so the run reports unconverged even though the outer
+    iterations stop by tolerance."""
+    x, y = tmp_path / "x.csv", tmp_path / "y.csv"
+    write_matrix_csv(x, 1e8 * np.random.default_rng(5).random((5, 4)))
+    write_matrix_csv(y, 1e8 * np.random.default_rng(6).random((6, 3)))
+    argv = ["coot", "--x", x, "--y", y, "--loss", "abs", "--eps1", "0.05", "--eps2", "0.05"]
+    assert run(argv + ["--out", tmp_path / "strict"]) == 4
+    report = read_report(tmp_path / "strict")
+    assert report["converged"] is False and report["iterations"] < 50
+    assert run(argv + ["--allow-maxiter", "--out", tmp_path / "allowed"]) == 0
+
+
+def test_gen_rejects_non_finite_separation(tmp_path):
+    argv = ["gen", "--n", "10", "--d", "6", "-g", "2", "-m", "2", "--separation", "inf",
+            "--seed", "0", "--out", tmp_path]
+    assert run(argv) == 3
+    assert not (tmp_path / "X.csv").exists()

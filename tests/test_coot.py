@@ -461,3 +461,20 @@ def test_stacked_entropic_solutions_own_their_plans():
         for sol in solutions:
             for plan in (sol.sample_coupling.plan, sol.feature_coupling.plan):
                 assert plan.base is None or plan.base.size == plan.size
+
+
+def _large_magnitude_pair():
+    return (1e8 * np.random.default_rng(5).random((5, 4)),
+            1e8 * np.random.default_rng(6).random((6, 3)))
+
+
+@pytest.mark.parametrize("loss, cap", [(ABSOLUTE, 10000), (SQUARED_EUCLIDEAN, 200)])
+def test_unconverged_inner_solve_makes_the_solve_unconverged(entropic_calls, loss, cap):
+    """At 1e8 magnitudes and eps 0.05 some entropic calls end above their
+    tolerance (abs loss) or at their Newton cap (squared loss), although the
+    feature coupling stops moving; the solve must not report converged."""
+    X, X2 = _large_magnitude_pair()
+    sol = solve_coot(CootProblem(X, X2, loss=loss, eps_samples=0.05, eps_features=0.05,
+                                 sinkhorn_max_iter=cap))
+    assert any(not res.converged for res in entropic_calls)
+    assert not sol.converged

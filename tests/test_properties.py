@@ -6,14 +6,18 @@ from hypothesis import given, settings, strategies as st
 
 from coopt import (
     LOSSES,
+    CootProblem,
     PreparedContraction,
     Side,
+    bap_oracle,
     contract,
     contract_naive,
+    coot_objective,
     entropic_ot,
     exact_ot,
     random_coupling,
     sinkhorn,
+    solve_coot,
     uniform_histogram,
     validate_coupling,
 )
@@ -91,3 +95,33 @@ def test_exact_ot_property_feasible_and_below_other_plans(n, m, line, uniform, k
     for other in (np.outer(w, wp), random_coupling(w, wp, rng)):
         bound = float((C * other).sum())
         assert res.cost <= bound + 1e-12 * abs(bound)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 4), d=st.integers(1, 4),
+       kind=st.sampled_from(["random", "constant", "1e8", "integer"]),
+       loss_name=st.sampled_from(["sq", "abs"]), eps=st.sampled_from([0.0, 0.05]),
+       restarts=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_solve_coot_property_reports_its_cost_and_respects_the_oracle(n, d, kind, loss_name,
+                                                                      eps, restarts, seed):
+    """The reported cost is the objective of the returned couplings within
+    1e-12 relative. Whenever the solve reports ``converged``, both couplings
+    are feasible at 1e-9 and the cost is no lower than the exhaustive
+    optimum, on uniform square instances up to 4x4 with random, constant,
+    tied (integer) and 1e8-scaled data."""
+    rng = np.random.default_rng(seed)
+    data = {"random": lambda: rng.random((n, d)),
+            "constant": lambda: np.full((n, d), rng.uniform(-2, 2)),
+            "1e8": lambda: 1e8 * rng.random((n, d)),
+            "integer": lambda: rng.integers(0, 3, (n, d)).astype(float)}[kind]
+    X, X2 = data(), data()
+    loss = LOSSES[loss_name]
+    sol = solve_coot(CootProblem(X, X2, loss=loss, eps_samples=eps, eps_features=eps),
+                     restarts=restarts, seed=seed)
+    ps, pv = sol.sample_coupling.plan, sol.feature_coupling.plan
+    objective = coot_objective(X, X2, ps, pv, loss)
+    assert abs(sol.cost - objective) <= 1e-12 * abs(objective)
+    if sol.converged:
+        assert sol.sample_coupling.feasible(1e-9) and sol.feature_coupling.feasible(1e-9)
+        oracle = bap_oracle(X, X2, loss).cost
+        assert sol.cost >= oracle - 1e-12 * max(1.0, abs(oracle))

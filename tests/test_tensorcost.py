@@ -7,6 +7,7 @@ import pytest
 
 from coopt import (
     ABSOLUTE,
+    DimensionError,
     DomainError,
     KULLBACK_LEIBLER,
     SQUARED_EUCLIDEAN,
@@ -241,3 +242,13 @@ def test_objective_is_the_sample_side_contraction(n, d, n2, d2):
     for loss in (SQUARED_EUCLIDEAN, KULLBACK_LEIBLER, ABSOLUTE):
         want = float(np.sum(contract(X, X2, pv, loss, Side.SAMPLE) * ps))
         assert coot_objective(X, X2, ps, pv, loss) == want, loss.name
+
+
+@pytest.mark.parametrize("loss", [SQUARED_EUCLIDEAN, ABSOLUTE])
+def test_contract_takes_one_coupling_only(loss):
+    """A stack of plans goes through :class:`PreparedContraction`; the one-off
+    :func:`contract` rejects it, on both the factored and the naive path."""
+    rng = np.random.default_rng(3)
+    X, X2 = rng.random((3, 2)), rng.random((4, 2))
+    with pytest.raises(DimensionError, match="expected a non-empty 2-D array"):
+        contract(X, X2, rng.random((2, 2, 2)), loss, Side.SAMPLE)
