@@ -284,8 +284,8 @@ def as_label_matrix(onehot, name: str = "labels") -> np.ndarray:
 def one_hot_labels(labels, num_classes: Optional[int] = None) -> np.ndarray:
     """One-hot matrix from integer labels; -1 marks unlabeled (all-zero row)."""
     labels = np.asarray(labels, dtype=np.int64)
-    if labels.ndim != 1:
-        raise DimensionError("labels must be 1-D")
+    if labels.ndim != 1 or labels.size == 0:
+        raise DimensionError(f"labels must be a non-empty 1-D array, got shape {labels.shape}")
     if np.any(labels < -1):
         raise DomainError("labels must be >= -1 (-1 means unlabeled)")
     k = int(labels.max()) + 1 if num_classes is None else num_classes
@@ -397,8 +397,9 @@ def hda_pipeline(
 def as_election(positions) -> np.ndarray:
     """Validate a voter-by-candidate rank matrix.
 
-    Every row must be a permutation of {1..m} (or uniformly of {0..m-1};
-    only rank differences matter, so the base cancels).
+    Every row must be a permutation of {1..m}, or every row one of
+    {0..m-1}; a 0-based matrix is returned as ``E + 1``, so elections of
+    either base compare as the same rankings.
     """
     E = as_matrix(positions, "election")
     m = E.shape[1]
@@ -410,7 +411,7 @@ def as_election(positions) -> np.ndarray:
     if np.all(sorted_rows == one_based):
         return E
     if np.all(sorted_rows == zero_based):
-        return E
+        return E + 1.0
     raise DomainError("every voter row must rank all candidates exactly once")
 
 

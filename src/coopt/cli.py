@@ -146,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _feature_weights(flag, X, name):
     """Resolve a feature-weight flag: None (uniform), 'mean', or a CSV path."""
-    if flag is None or flag == "uniform":
+    if flag is None:
         return None
     if flag == "mean":
         means = X.mean(axis=0)

@@ -78,10 +78,12 @@ ORACLE_MAX_SIZE = 6
 class CootProblem:
     """Instance data plus solver knobs for one co-optimal transport solve.
 
-    ``eps_samples``/``eps_features`` switch the corresponding inner update
-    between the exact LP (0) and the entropic solve (> 0, by
-    :func:`~coopt.ot.entropic_ot`). ``sample_cost_mask`` is an
-    optional 0/1 matrix added (scaled by ``mask_penalty``) to the sample-side
+    ``X`` and ``X'`` are checked when the problem is built, in the loss's
+    domain too, by the :class:`~coopt.tensorcost.PreparedContraction` every
+    solve of it contracts through. ``eps_samples``/``eps_features`` switch
+    the inner updates between the exact LP (0) and the entropic solve (> 0,
+    by :func:`~coopt.ot.entropic_ot`). ``sample_cost_mask`` is an optional
+    0/1 matrix added (scaled by ``mask_penalty``) to the sample-side
     contracted cost each iteration; ``mask_penalty`` is a finite number > 0,
     or None for auto: 1e3 times the max entry of the unmasked cost,
     recomputed per iteration. ``max_iter >= 0`` caps the outer iterations (0
@@ -108,8 +110,8 @@ class CootProblem:
     sinkhorn_tol: ClassVar[float] = 1e-9
 
     def __post_init__(self):
-        X = as_matrix(self.X, "X")
-        X2 = as_matrix(self.X2, "X'")
+        contraction = PreparedContraction(self.X, self.X2, self.loss)
+        X, X2 = contraction.X, contraction.X2
         n, d = X.shape
         n2, d2 = X2.shape
         w = uniform_histogram(n) if self.w is None else as_histogram(self.w, "w")
@@ -135,6 +137,8 @@ class CootProblem:
             mask = as_matrix(mask, "sample cost mask")
             if mask.shape != (n, n2):
                 raise DimensionError(f"sample cost mask must be {(n, n2)}, got {mask.shape}")
+            if not np.isin(mask, (0.0, 1.0)).all():
+                raise DomainError("sample cost mask entries must be 0 or 1")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "X2", X2)
         object.__setattr__(self, "w", w)
@@ -142,6 +146,7 @@ class CootProblem:
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "vp", vp)
         object.__setattr__(self, "sample_cost_mask", mask)
+        object.__setattr__(self, "_contraction", contraction)
 
 
 @dataclass(frozen=True)
@@ -315,7 +320,7 @@ def _solve_stack(problem: CootProblem, starts: Sequence, tied: bool = False,
     # tied: one coupling on both slots (GW), no feature half-step. ``cost[r]``
     # is the sample-side contraction of ``pv[r]``: it prices the sample step and,
     # summed against ``ps[r]``, is the objective; only the tied case reads it back.
-    contraction = PreparedContraction(problem.X, problem.X2, problem.loss)
+    contraction = problem._contraction
     w, wp, v, vp = problem.w, problem.wp, problem.v, problem.vp
     ps = [np.outer(w, wp) if init is None else np.array(init[0], dtype=np.float64)
           for init in starts]

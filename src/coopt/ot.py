@@ -54,7 +54,9 @@ class OtResult:
     cost matrix, or the Kantorovich potentials of an LP result, which
     warm-start :func:`exact_ot`; a Hungarian result has None.
     ``certificate`` is an LP result's minimum reduced cost relative to
-    ``max|C|`` (see :func:`exact_ot`); the other results report 0.
+    ``max|C|`` (see :func:`exact_ot`); the other results report 0. An LP
+    result is ``converged`` when its certificate is >= -1e-9 and its
+    ``marginal_error`` <= 1e-9.
     """
 
     coupling: Coupling
@@ -344,8 +346,9 @@ def exact_ot(w, wp, C,
     ``C`` is all zero); the plan is optimal when it is >= 0. HiGHS's own
     dual tolerance is an absolute 1e-7, so a full-LP plan below ``-1e-9`` is
     re-solved warm with that bound as HiGHS's tolerance, as the shortlist LP
-    is solved throughout. A Hungarian result is optimal by construction and
-    reports 0.
+    is solved throughout. An LP result is ``converged`` when its certificate
+    is >= -1e-9 and its ``marginal_error`` <= 1e-9. A Hungarian result is
+    optimal by construction, reports 0 for both and is converged.
     """
     w, wp, C = _check_inputs(w, wp, C)
     _check_potentials(None if init_potentials is None else [init_potentials], w, wp)
@@ -364,9 +367,10 @@ def exact_ot(w, wp, C,
     plan = np.maximum(x, 0.0)
     cost = float((C * plan).sum())
     coupling = Coupling(plan, w, wp)
-    return OtResult(coupling, cost, iterations=int(nit), converged=True,
-                    marginal_error=coupling.marginal_error(), potentials=potentials,
-                    certificate=certificate)
+    err = coupling.marginal_error()
+    return OtResult(coupling, cost, iterations=int(nit),
+                    converged=bool(err <= _CERTIFY and certificate >= -_CERTIFY),
+                    marginal_error=err, potentials=potentials, certificate=certificate)
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:

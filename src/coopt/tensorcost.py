@@ -21,7 +21,9 @@ the sample coupling.
 
 :class:`PreparedContraction` holds one data pair and loss: it checks the data
 and evaluates the loss factors once, then contracts any number of couplings
-through the same bodies as :func:`contract`, bitwise.
+through the same bodies as :func:`contract`, bitwise. It is the one place
+contraction inputs are checked: every function here builds one and checks
+its couplings through it, so all raise the same errors for the same inputs.
 """
 
 from __future__ import annotations
@@ -74,19 +76,6 @@ def _oriented(side: Side, *arrays):
     return tuple(a.T for a in arrays) if side is Side.FEATURE else arrays
 
 
-def _check_shape(pi: np.ndarray, X: np.ndarray, X2: np.ndarray, side: Side) -> None:
-    if side is Side.SAMPLE:
-        expected = (X.shape[1], X2.shape[1])
-    elif side is Side.FEATURE:
-        expected = (X.shape[0], X2.shape[0])
-    else:  # pragma: no cover - enum is closed
-        raise ValueError(f"unknown side {side!r}")
-    if pi.shape != expected:
-        raise DimensionError(
-            f"{side.value}-side contraction needs a {expected} coupling, got {pi.shape}"
-        )
-
-
 def _plan_stack(pi: np.ndarray) -> np.ndarray:
     """An ``(R, p, q)`` stack of plans as float64, checked finite and non-empty."""
     stack = np.asarray(pi, dtype=np.float64)
@@ -95,15 +84,6 @@ def _plan_stack(pi: np.ndarray) -> np.ndarray:
     if not np.isfinite(stack).all():
         raise DomainError("coupling stack: entries must be finite (no NaN/Inf)")
     return stack
-
-
-def _check_contract_inputs(X, X2, pi, loss: Loss, side: Side):
-    X = as_matrix(X, "X")
-    X2 = as_matrix(X2, "X'")
-    pi = plan_array(pi)
-    _check_shape(pi, X, X2, side)
-    loss.check_domain(X, X2)
-    return X, X2, pi
 
 
 def _naive(X: np.ndarray, X2: np.ndarray, pi: np.ndarray, loss: Loss) -> np.ndarray:
@@ -156,9 +136,10 @@ class PreparedContraction:
     too, once for both sides. :meth:`contract` checks only the coupling and
     returns bitwise the matrix :func:`contract` gives for the same
     arguments: factored when the loss allows it, naive otherwise. An
-    alternating solve contracts a fresh coupling every half-step, so it
-    prepares once per solve. The object is not changed after it is built,
-    so threads may share it.
+    alternating solve contracts a fresh coupling every half-step, so a
+    :class:`~coopt.coot.CootProblem` prepares once, when it is built, and
+    every solve of it contracts through that object. The object is not
+    changed after it is built, so threads may share it.
     """
 
     def __init__(self, X, X2, loss: Loss):
@@ -170,6 +151,18 @@ class PreparedContraction:
         self.loss = loss
         self._factors = _factors(X, X2, loss) if loss.has_decomposition else None
 
+    def _plans(self, pi, side: Side, stacked: bool) -> np.ndarray:
+        """The coupling ``pi`` as an ``(R, p, q)`` stack checked for ``side``:
+        ``pi`` itself if ``stacked``, else the stack of the one plan (or
+        :class:`~coopt.core.Coupling`) ``pi``."""
+        stack = _plan_stack(pi) if stacked else plan_array(pi)[None]
+        X, X2 = _oriented(side, self.X, self.X2)
+        expected = (X.shape[1], X2.shape[1])
+        if stack.shape[1:] != expected:
+            raise DimensionError(f"{side.value}-side contraction needs a {expected} coupling, "
+                                 f"got {stack.shape[1:]}")
+        return stack
+
     def contract(self, pi, side: Side) -> np.ndarray:
         """Contracted cost matrix of the coupling ``pi`` (a plan or a
         :class:`~coopt.core.Coupling`) on ``side``.
@@ -179,8 +172,7 @@ class PreparedContraction:
         contracted alone.
         """
         stacked = isinstance(pi, np.ndarray) and pi.ndim == 3
-        stack = _plan_stack(pi) if stacked else plan_array(pi)[None]
-        _check_shape(stack[0], self.X, self.X2, side)
+        stack = self._plans(pi, side, stacked)
         if self._factors is None:
             out = _naive(*_oriented(side, self.X, self.X2), stack, self.loss)
         else:
@@ -195,12 +187,14 @@ def contract_naive(X, X2, pi, loss: Loss, side: Side) -> ContractedCost:
     three-index slice; the reduction order is fixed, so results are
     deterministic for a fixed input.
     """
-    X, X2, pi = _check_contract_inputs(X, X2, pi, loss, side)
-    return ContractedCost(_naive(*_oriented(side, X, X2), pi[None], loss)[0], side)
+    prep = PreparedContraction(X, X2, loss)
+    stack = prep._plans(pi, side, False)
+    return ContractedCost(_naive(*_oriented(side, prep.X, prep.X2), stack, loss)[0], side)
 
 
 def contract_factored(X, X2, pi, loss: Loss, side: Side) -> ContractedCost:
-    """Fast contraction via the loss decomposition.
+    """Fast contraction via the loss decomposition: :func:`contract` on a
+    loss that has one.
 
     Equals :func:`contract_naive` within 1e-10 entrywise. The constant part
     uses the coupling's own marginals, so the identity holds for any
@@ -210,8 +204,7 @@ def contract_factored(X, X2, pi, loss: Loss, side: Side) -> ContractedCost:
         raise UnsupportedLossError(
             f"{loss.name} loss has no (f1, f2, h1, h2) decomposition; use contract_naive"
         )
-    X, X2, pi = _check_contract_inputs(X, X2, pi, loss, side)
-    return ContractedCost(_factored(_oriented(side, *_factors(X, X2, loss)), pi[None])[0], side)
+    return ContractedCost(contract(X, X2, pi, loss, side), side)
 
 
 def contract(X, X2, pi, loss: Loss, side: Side) -> np.ndarray:
@@ -222,14 +215,6 @@ def contract(X, X2, pi, loss: Loss, side: Side) -> np.ndarray:
 
 def coot_objective(X, X2, sample_plan, feature_plan, loss: Loss) -> float:
     """Doubly contracted objective ``sum L(X_ik, X'_jl) pi^s_ij pi^v_kl``."""
-    X = as_matrix(X, "X")
-    X2 = as_matrix(X2, "X'")
-    ps = plan_array(sample_plan)
-    pv = plan_array(feature_plan)
-    n, d = X.shape
-    n2, d2 = X2.shape
-    if ps.shape != (n, n2) or pv.shape != (d, d2):
-        raise DimensionError(
-            f"couplings {ps.shape}/{pv.shape} do not match data ({n}x{d} vs {n2}x{d2})"
-        )
-    return float(np.sum(contract(X, X2, pv, loss, Side.SAMPLE) * ps))
+    prep = PreparedContraction(X, X2, loss)
+    ps = prep._plans(sample_plan, Side.FEATURE, False)[0]
+    return float(np.sum(prep.contract(plan_array(feature_plan), Side.SAMPLE) * ps))

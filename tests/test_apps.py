@@ -423,3 +423,19 @@ def test_cocluster_and_generate_blocks_reject_a_negative_seed():
     config = BlockConfig(10, 6, 2, 2, (0.5, 0.5), (0.5, 0.5), 4.0)
     with pytest.raises(DomainError, match="^seed must be >= 0, got -1$"):
         generate_blocks(config, -1)
+
+
+def test_election_distance_is_zero_across_rank_bases():
+    """A 0-based election is the same rankings as its 1-based form."""
+    E = np.array([[1.0, 2.0, 3.0], [3.0, 1.0, 2.0]])
+    assert np.array_equal(as_election(E - 1), E)
+    assert election_distance(E, E - 1, restarts=5) == 0.0
+
+
+@pytest.mark.parametrize("num_classes", [None, 2])
+def test_empty_labels_are_a_dimension_error(num_classes):
+    with pytest.raises(DimensionError, match="non-empty 1-D"):
+        one_hot_labels([], num_classes)
+    rng = np.random.default_rng(55)
+    with pytest.raises(DimensionError, match="non-empty 1-D"):
+        hda_pipeline(rng.random((4, 3)), rng.random((5, 2)), [], num_classes=num_classes)

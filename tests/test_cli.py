@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coopt import CootProblem, export_heatmap, solve_coot, validate_coupling
+from coopt import CootProblem, export_heatmap, ot, solve_coot, validate_coupling
 from coopt.apps import BlockConfig, cocluster, generate_blocks
 from coopt.cli import main
 from coopt.fileio import (
@@ -497,3 +497,36 @@ def test_gen_rejects_non_finite_separation(tmp_path):
             "--seed", "0", "--out", tmp_path]
     assert run(argv) == 3
     assert not (tmp_path / "X.csv").exists()
+
+
+def test_election_cost_zero_across_rank_bases(tmp_path):
+    one, zero = tmp_path / "e1.csv", tmp_path / "e0.csv"
+    E = np.array([[1, 2, 3], [3, 1, 2]], dtype=float)
+    write_matrix_csv(one, E)
+    write_matrix_csv(zero, E - 1)
+    out = tmp_path / "el"
+    assert run(["election", "--x", one, "--y", zero, "--seed", "0", "--restarts", "5",
+                "--out", out]) == 0
+    assert read_report(out)["cost"] == 0.0
+
+
+def test_feature_weight_flag_takes_a_path_or_mean(tmp_path, small_pair):
+    """``--vx uniform`` names a weights file like any other value but
+    ``mean``; with no such file the run is an I/O error."""
+    x, y = small_pair
+    for flag in ("--vx", "--vy"):
+        assert run(["coot", "--x", x, "--y", y, flag, "uniform",
+                    "--out", tmp_path / "vu"]) == 2
+
+
+def test_coot_exits_4_on_an_uncertified_lp(tmp_path, small_pair, monkeypatch):
+    real = ot._transport_lp
+
+    def uncertified(w, wp, C):
+        x, nit, _, potentials = real(w, wp, C)
+        return x, nit, -1e-6, potentials
+
+    monkeypatch.setattr(ot, "_transport_lp", uncertified)
+    x, y = small_pair
+    assert run(["coot", "--x", x, "--y", y, "--out", tmp_path / "lp"]) == 4
+    assert read_report(tmp_path / "lp")["converged"] is False

@@ -10,6 +10,7 @@ from coopt import (
     CootProblem,
     DimensionError,
     DomainError,
+    KULLBACK_LEIBLER,
     LOSSES,
     SQUARED_EUCLIDEAN,
     bap_oracle,
@@ -26,7 +27,7 @@ from coopt import (
     uniform_histogram,
     validate_coupling,
 )
-from coopt import coot
+from coopt import coot, ot
 from coopt.apps import class_mismatch_mask
 from coopt.core import marginal_residual
 
@@ -478,3 +479,63 @@ def test_unconverged_inner_solve_makes_the_solve_unconverged(entropic_calls, los
                                  sinkhorn_max_iter=cap))
     assert any(not res.converged for res in entropic_calls)
     assert not sol.converged
+
+
+def test_problem_checks_the_loss_domain_when_built():
+    """Negative data lie outside the Kullback-Leibler domain: the problem is
+    refused when built, before any solve."""
+    rng = np.random.default_rng(52)
+    X, X2 = rng.random((4, 3)) + 0.1, rng.random((5, 2)) + 0.1
+    with pytest.raises(DomainError, match="kullback_leibler loss"):
+        CootProblem(-X, X2, loss=KULLBACK_LEIBLER)
+    CootProblem(X, X2, loss=KULLBACK_LEIBLER)
+
+
+def test_problem_prepares_one_contraction_for_every_restart(monkeypatch):
+    """The problem checks its data once: the threaded exact restarts all
+    contract through the object the problem built."""
+    built = []
+    real = coot.PreparedContraction
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(coot, "PreparedContraction", counted)
+    rng = np.random.default_rng(53)
+    problem = CootProblem(rng.random((6, 4)), rng.random((5, 3)))
+    sol = solve_coot(problem, restarts=4, seed=0, jobs=2)
+    assert len(built) == 1
+    monkeypatch.setattr(coot, "PreparedContraction", real)
+    alone = solve_coot(CootProblem(problem.X, problem.X2), restarts=4, seed=0)
+    assert (sol.cost, sol.restart_index) == (alone.cost, alone.restart_index)
+    assert np.array_equal(sol.sample_coupling.plan, alone.sample_coupling.plan)
+
+
+@pytest.mark.parametrize("value", [-1.0, 0.5, 2.0])
+def test_sample_cost_mask_entries_must_be_0_or_1(value):
+    X = np.random.default_rng(49).random((4, 3))
+    X2 = np.random.default_rng(50).random((5, 2))
+    mask = np.zeros((4, 5))
+    mask[1, 2] = value
+    with pytest.raises(DomainError, match="mask entries must be 0 or 1"):
+        CootProblem(X, X2, sample_cost_mask=mask)
+
+
+def test_uncertified_lp_makes_the_solve_unconverged(monkeypatch):
+    """An LP result whose certificate misses -1e-9 is not converged, and
+    neither is a solve that takes it."""
+    real = ot._transport_lp
+
+    def uncertified(w, wp, C):
+        x, nit, _, potentials = real(w, wp, C)
+        return x, nit, -1e-6, potentials
+
+    monkeypatch.setattr(ot, "_transport_lp", uncertified)
+    rng = np.random.default_rng(54)
+    res = ot.exact_ot(uniform_histogram(4), uniform_histogram(5), rng.random((4, 5)))
+    assert res.certificate == -1e-6 and not res.converged
+    sol = solve_coot(CootProblem(rng.random((4, 3)), rng.random((5, 2))))
+    assert not sol.converged
+    monkeypatch.setattr(ot, "_transport_lp", real)
+    assert ot.exact_ot(uniform_histogram(4), uniform_histogram(5), rng.random((4, 5))).converged
