@@ -282,10 +282,15 @@ def as_label_matrix(onehot, name: str = "labels") -> np.ndarray:
 
 
 def one_hot_labels(labels, num_classes: Optional[int] = None) -> np.ndarray:
-    """One-hot matrix from integer labels; -1 marks unlabeled (all-zero row)."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.ndim != 1 or labels.size == 0:
-        raise DimensionError(f"labels must be a non-empty 1-D array, got shape {labels.shape}")
+    """One-hot matrix from integer labels; -1 marks unlabeled (all-zero row).
+    Integer-valued floats are read as their integers; other values raise."""
+    values = np.asarray(labels, dtype=np.float64)
+    if values.ndim != 1 or values.size == 0:
+        raise DimensionError(f"labels must be a non-empty 1-D array, got shape {values.shape}")
+    bad = ~np.isfinite(values) | (values != np.round(values))
+    if bad.any():
+        raise DomainError(f"labels must be integers, got {values[bad][0]:g}")
+    labels = values.astype(np.int64)
     if np.any(labels < -1):
         raise DomainError("labels must be >= -1 (-1 means unlabeled)")
     k = int(labels.max()) + 1 if num_classes is None else num_classes

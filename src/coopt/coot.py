@@ -25,10 +25,13 @@ each half-step contracts all running restarts' couplings in one call, an
 entropic side solves them in one :func:`~coopt.ot.entropic_ot_stack` call,
 and an exact side solves their LPs one after another. A restart that has
 converged drops out, keeping only its plans; every solver returns plans
-that own their memory, so none pins a stack. With ``jobs > 1``, threads run
-contiguous shares of the restarts as stacks when every side solved is
-entropic, and otherwise pull one restart at a time. Each restart is bitwise
-what it gives solved alone, so results do not depend on ``jobs``.
+that own their memory, so none pins a stack. The driver reads each inner
+result's plan alone: the two couplings of each returned solution are the
+only :class:`~coopt.core.Coupling` objects a solve builds. With ``jobs >
+1``, threads run contiguous shares of the restarts as stacks when every
+side solved is entropic, and otherwise pull one restart at a time. Each
+restart is bitwise what it gives solved alone, so results do not depend on
+``jobs``.
 
 :func:`bap_oracle` enumerates all row/column permutation pairs, which is the
 exact optimum for uniform square instances since an optimal pair of vertices
@@ -38,6 +41,7 @@ always exists; it is the reference the solver is certified against in tests.
 from __future__ import annotations
 
 import itertools
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import ClassVar, List, Optional, Sequence, Tuple
@@ -74,6 +78,16 @@ __all__ = [
 ORACLE_MAX_SIZE = 6
 
 
+def _check_integer(**values):
+    """DomainError naming the first of ``values`` that is no integer (a
+    Python or numpy one) by :func:`operator.index`."""
+    for name, value in values.items():
+        try:
+            operator.index(value)
+        except TypeError:
+            raise DomainError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class CootProblem:
     """Instance data plus solver knobs for one co-optimal transport solve.
@@ -86,11 +100,11 @@ class CootProblem:
     0/1 matrix added (scaled by ``mask_penalty``) to the sample-side
     contracted cost each iteration; ``mask_penalty`` is a finite number > 0,
     or None for auto: 1e3 times the max entry of the unmasked cost,
-    recomputed per iteration. ``max_iter >= 0`` caps the outer iterations (0
-    returns the starting couplings); ``sinkhorn_max_iter >= 1`` caps the
-    Newton steps of each entropic call. The entropic strengths must be finite
-    and ``tol`` (on the feature coupling's change per iteration) must be >= 0;
-    NaN fails both.
+    recomputed per iteration. The integer ``max_iter >= 0`` caps the outer
+    iterations (0 returns the starting couplings); the integer
+    ``sinkhorn_max_iter >= 1`` caps the Newton steps of each entropic call.
+    The entropic strengths must be finite and ``tol`` (on the feature
+    coupling's change per iteration) must be >= 0; NaN fails both.
     """
 
     X: np.ndarray
@@ -125,6 +139,7 @@ class CootProblem:
                               f"{self.eps_samples} and {self.eps_features}")
         if not self.tol >= 0:
             raise DomainError(f"tol must be >= 0, got {self.tol}")
+        _check_integer(max_iter=self.max_iter, sinkhorn_max_iter=self.sinkhorn_max_iter)
         if self.max_iter < 0 or self.sinkhorn_max_iter < 1:
             raise DomainError("need max_iter >= 0 and sinkhorn_max_iter >= 1 (the cap on "
                               "Newton steps per entropic solve), got "
@@ -317,9 +332,10 @@ def _solve_stack(problem: CootProblem, starts: Sequence, tied: bool = False,
     iteration that only confirms a fixed point runs no LP there; the cost
     arrays are compared, not copied.
     """
-    # tied: one coupling on both slots (GW), no feature half-step. ``cost[r]``
-    # is the sample-side contraction of ``pv[r]``: it prices the sample step and,
-    # summed against ``ps[r]``, is the objective; only the tied case reads it back.
+    # tied: one coupling on both slots (GW), no feature half-step. ``costs`` is
+    # the sample-side contraction of the running restarts' ``pv``: it prices the
+    # sample step and, summed against ``ps``, is the objective; the tied case
+    # carries it over to price its next sample step.
     contraction = problem._contraction
     w, wp, v, vp = problem.w, problem.wp, problem.v, problem.vp
     ps = [np.outer(w, wp) if init is None else np.array(init[0], dtype=np.float64)
@@ -327,48 +343,37 @@ def _solve_stack(problem: CootProblem, starts: Sequence, tied: bool = False,
     pv = ps if tied else [np.outer(v, vp) if init is None else
                           np.array(init[1], dtype=np.float64) for init in starts]
     costs = contraction.contract(_stack(pv), Side.SAMPLE)
-    cost = list(costs) if tied else None
     traces = [[float((c * p).sum())] for c, p in zip(costs, ps)]
     # each side's previous (cost, result) per restart; an entropic side needs
     # only the result's potentials, so it keeps no cost
-    keep_v, keep_s = problem.eps_features == 0, problem.eps_samples == 0
     prev_v = [None] * len(starts)
     prev_s = [None] * len(starts)
     converged = [False] * len(starts)
     inner_ok = [True] * len(starts)  # every inner result so far converged
     active = list(range(len(starts)))
+
+    def half_step(marginals, costs, eps, prev, plans):
+        # one side's inner solves for the running restarts, written back
+        results = _inner_side(*marginals, costs, eps, problem, [prev[r] for r in active])
+        for r, c, res in zip(active, costs, results):
+            prev[r] = c if eps == 0 else None, res
+            plans[r] = res.plan
+            inner_ok[r] = inner_ok[r] and res.converged
+
     for _ in range(problem.max_iter):
         if not active:
             break
         pv_prev = _stack([pv[r] for r in active])
         if not tied:
-            feat_cost = contraction.contract(_stack([ps[r] for r in active]), Side.FEATURE)
-            results = _inner_side(v, vp, feat_cost, problem.eps_features, problem,
-                                  [prev_v[r] for r in active])
-            for r, c, res in zip(active, feat_cost, results):
-                prev_v[r] = c if keep_v else None, res
-                pv[r] = res.coupling.plan
-                inner_ok[r] = inner_ok[r] and res.converged
+            half_step((v, vp), contraction.contract(_stack([ps[r] for r in active]), Side.FEATURE),
+                      problem.eps_features, prev_v, pv)
             costs = contraction.contract(_stack([pv[r] for r in active]), Side.SAMPLE)
-            del feat_cost
-        else:
-            costs = _stack([cost[r] for r in active])
-        sample_cost = _masked(costs, problem)
-        results = _inner_side(w, wp, sample_cost, problem.eps_samples, problem,
-                              [prev_s[r] for r in active])
-        for r, c, res in zip(active, sample_cost, results):
-            prev_s[r] = c if keep_s else None, res
-            ps[r] = res.coupling.plan
-            inner_ok[r] = inner_ok[r] and res.converged
-        del sample_cost, results
+        half_step((w, wp), _masked(costs, problem), problem.eps_samples, prev_s, ps)
+        plans = _stack([pv[r] for r in active])
         if tied:
-            plans = _stack([ps[r] for r in active])
             costs = contraction.contract(plans, Side.SAMPLE)
-            moved = plans - pv_prev
-            del plans
-        else:
-            moved = _stack([pv[r] for r in active]) - pv_prev
-        moved = moved.reshape(len(active), -1)
+        moved = (plans - pv_prev).reshape(len(active), -1)
+        del plans
         # each restart's ||pv - pv_prev||, summed as np.linalg.norm sums it
         moved = np.sqrt(np.vecdot(moved, moved))
         for i, r in enumerate(active):
@@ -377,10 +382,9 @@ def _solve_stack(problem: CootProblem, starts: Sequence, tied: bool = False,
                 converged[r] = True
                 # its plans own their memory; the previous costs it drops are slices
                 prev_s[r] = prev_v[r] = None
-            if tied:
-                cost[r] = None if converged[r] else costs[i]
-        del costs
-        active = [r for r in active if not converged[r]]
+        going = [i for i, r in enumerate(active) if not converged[r]]
+        active = [active[i] for i in going]
+        costs = costs[going] if tied else None
     return [CootSolution(sample_coupling=Coupling(ps[r], w, wp),
                          feature_coupling=Coupling(pv[r], v, vp),
                          cost=traces[r][-1], objective_trace=traces[r],
@@ -411,6 +415,7 @@ def _best_restart(problem: CootProblem, restarts: int, seed: int,
     restarts overlap in the LP solver, which runs outside the interpreter
     lock.
     """
+    _check_integer(restarts=restarts, seed=seed, jobs=jobs)
     if restarts < 1:
         raise DomainError("restarts must be >= 1")
     if jobs < 1:

@@ -11,19 +11,21 @@ Three entry points solve ``min <C, pi>`` over the transport polytope
   semi-dual over the shorter side, with eps-continuation; it converges
   where Sinkhorn crawls (tall-thin costs with large ``C/eps``).
 
-All are safe to call concurrently on distinct inputs. They are pure but
-for one cache: for LPs of at most 3,000 cells,
-:func:`exact_ot` keeps, per thread, the HiGHS models of the last two
-marginal pairs it solved on, so a sequence of small LPs on fixed marginals
-builds each model once. Larger LPs are solved on a shortlist of cells with
-a model built per call, which is dropped on return. The cache changes no
-result.
+Each returns an :class:`OtResult` that holds its plan; the checked
+:class:`~coopt.core.Coupling` is built only if read. All are safe to call
+concurrently on distinct inputs. They are pure but for one cache: for LPs
+of at most 3,000 cells, :func:`exact_ot` keeps, per thread, the HiGHS
+models of the last two marginal pairs it solved on, so a sequence of small
+LPs on fixed marginals builds each model once. Larger LPs are solved on a
+shortlist of cells with a model built per call, which is dropped on
+return. The cache changes no result.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -57,15 +59,28 @@ class OtResult:
     ``max|C|`` (see :func:`exact_ot`); the other results report 0. An LP
     result is ``converged`` when its certificate is >= -1e-9 and its
     ``marginal_error`` <= 1e-9.
+    ``plan``, on the call's weights ``row_marginal`` and ``col_marginal``, is
+    checked finite; ``coupling`` checks the three as a Coupling on first read.
     """
 
-    coupling: Coupling
+    plan: np.ndarray
+    row_marginal: np.ndarray = field(repr=False)
+    col_marginal: np.ndarray = field(repr=False)
     cost: float
     iterations: int
     converged: bool
     marginal_error: float = 0.0
     potentials: Optional[Tuple[np.ndarray, np.ndarray]] = None
     certificate: float = 0.0
+
+    def __post_init__(self):
+        # a tiny eps can overflow the plan; nothing else checks it
+        if not np.isfinite(self.plan).all():
+            raise DomainError("coupling plan: entries must be finite (no NaN/Inf)")
+
+    @cached_property
+    def coupling(self) -> Coupling:
+        return Coupling(self.plan, self.row_marginal, self.col_marginal)
 
 
 def _check_inputs(w, wp, C):
@@ -358,7 +373,7 @@ def exact_ot(w, wp, C,
         plan = np.zeros((n, m))
         plan[rows, cols] = w[0]
         cost = float((C * plan).sum())
-        return OtResult(Coupling(plan, w, wp), cost, iterations=1, converged=True)
+        return OtResult(plan, w, wp, cost, iterations=1, converged=True)
 
     if n * m > _SHORTLIST_CELLS:
         x, nit, certificate, potentials = _shortlist_lp(w, wp, C, init_potentials)
@@ -366,9 +381,8 @@ def exact_ot(w, wp, C,
         x, nit, certificate, potentials = _transport_lp(w, wp, C)
     plan = np.maximum(x, 0.0)
     cost = float((C * plan).sum())
-    coupling = Coupling(plan, w, wp)
-    err = coupling.marginal_error()
-    return OtResult(coupling, cost, iterations=int(nit),
+    err = marginal_residual(plan, w, wp)
+    return OtResult(plan, w, wp, cost, iterations=int(nit),
                     converged=bool(err <= _CERTIFY and certificate >= -_CERTIFY),
                     marginal_error=err, potentials=potentials, certificate=certificate)
 
@@ -427,14 +441,8 @@ def sinkhorn(
             break
     converged = err <= tol
     cost = float(np.sum(C * plan))
-    return OtResult(
-        Coupling(plan, w, wp),
-        cost,
-        iterations=it,
-        converged=converged,
-        marginal_error=err,
-        potentials=(f, g),
-    )
+    return OtResult(plan, w, wp, cost, iterations=it, converged=converged,
+                    marginal_error=err, potentials=(f, g))
 
 
 # Newton on the semi-dual: the step is capped at _STEP_CAP * eps in sup-norm
@@ -660,7 +668,7 @@ def _entropic(w, wp, C, eps, max_iter, tol, init_potentials):
     err = _residuals(plan, w, wp)[0]
     cost = (C * plan).sum(axis=(1, 2))
     # each result owns its plan, so that none keeps the whole stack alive
-    return [OtResult(Coupling(plan[r] if R == 1 else plan[r].copy(), w, wp), float(cost[r]),
+    return [OtResult(plan[r] if R == 1 else plan[r].copy(), w, wp, float(cost[r]),
                      iterations=int(steps[r]), converged=bool(err[r] <= tol),
                      marginal_error=float(err[r]), potentials=(f[r], g[r]))
             for r in range(R)]

@@ -172,12 +172,14 @@ class PreparedContraction:
         contracted alone.
         """
         stacked = isinstance(pi, np.ndarray) and pi.ndim == 3
-        stack = self._plans(pi, side, stacked)
-        if self._factors is None:
-            out = _naive(*_oriented(side, self.X, self.X2), stack, self.loss)
-        else:
-            out = _factored(_oriented(side, *self._factors), stack)
+        out = self._contract(self._plans(pi, side, stacked), side)
         return out if stacked else out[0]
+
+    def _contract(self, stack: np.ndarray, side: Side) -> np.ndarray:
+        """The costs of a stack checked by :meth:`_plans`."""
+        if self._factors is None:
+            return _naive(*_oriented(side, self.X, self.X2), stack, self.loss)
+        return _factored(_oriented(side, *self._factors), stack)
 
 
 def contract_naive(X, X2, pi, loss: Loss, side: Side) -> ContractedCost:
@@ -209,12 +211,15 @@ def contract_factored(X, X2, pi, loss: Loss, side: Side) -> ContractedCost:
 
 def contract(X, X2, pi, loss: Loss, side: Side) -> np.ndarray:
     """Contracted cost matrix of one coupling, factored when the loss allows
-    it: the one-off form of :meth:`PreparedContraction.contract`."""
-    return PreparedContraction(X, X2, loss).contract(plan_array(pi), side)
+    it: the one-off form of :meth:`PreparedContraction.contract` for a 2-D
+    ``pi``, which is checked once."""
+    prep = PreparedContraction(X, X2, loss)
+    return prep._contract(prep._plans(pi, side, False), side)[0]
 
 
 def coot_objective(X, X2, sample_plan, feature_plan, loss: Loss) -> float:
     """Doubly contracted objective ``sum L(X_ik, X'_jl) pi^s_ij pi^v_kl``."""
     prep = PreparedContraction(X, X2, loss)
     ps = prep._plans(sample_plan, Side.FEATURE, False)[0]
-    return float(np.sum(prep.contract(plan_array(feature_plan), Side.SAMPLE) * ps))
+    pv = prep._plans(feature_plan, Side.SAMPLE, False)
+    return float(np.sum(prep._contract(pv, Side.SAMPLE)[0] * ps))

@@ -439,3 +439,20 @@ def test_empty_labels_are_a_dimension_error(num_classes):
     rng = np.random.default_rng(55)
     with pytest.raises(DimensionError, match="non-empty 1-D"):
         hda_pipeline(rng.random((4, 3)), rng.random((5, 2)), [], num_classes=num_classes)
+
+
+@pytest.mark.parametrize("bad", [0.5, -0.5, np.nan, np.inf])
+def test_labels_must_be_integers(bad):
+    with pytest.raises(DomainError, match="^labels must be integers, got "):
+        one_hot_labels([bad, 1])
+    rng = np.random.default_rng(56)
+    with pytest.raises(DomainError, match="^labels must be integers, got "):
+        hda_pipeline(rng.random((2, 3)), rng.random((3, 2)), [bad, 1])
+    with pytest.raises(DomainError, match="^labels must be integers, got "):
+        hda_pipeline(rng.random((2, 3)), rng.random((3, 2)), [0, 1], target_labels=[1, -1, bad])
+
+
+def test_integer_valued_float_labels_are_their_integers():
+    assert np.array_equal(one_hot_labels([1.0, -1.0, 0.0]), one_hot_labels([1, -1, 0]))
+    assert np.array_equal(one_hot_labels(np.array([2, 0], dtype=np.uint8)),
+                          one_hot_labels([2, 0]))

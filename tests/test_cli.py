@@ -530,3 +530,16 @@ def test_coot_exits_4_on_an_uncertified_lp(tmp_path, small_pair, monkeypatch):
     x, y = small_pair
     assert run(["coot", "--x", x, "--y", y, "--out", tmp_path / "lp"]) == 4
     assert read_report(tmp_path / "lp")["converged"] is False
+
+
+def test_coot_exits_3_on_a_non_finite_entropic_plan(tmp_path):
+    """An eps far below the costs' rounding overflows the sample plan, which
+    the solve refuses as a domain error."""
+    rng = np.random.default_rng(0)
+    x, y = tmp_path / "x.csv", tmp_path / "y.csv"
+    write_matrix_csv(x, 1e5 * rng.random((4, 3)))
+    write_matrix_csv(y, rng.random((5, 2)))
+    with np.errstate(all="ignore"):
+        code = run(["coot", "--x", x, "--y", y, "--eps1", "1e-300", "--out", tmp_path / "o"])
+    assert code == 3
+    assert not (tmp_path / "o" / "report.json").exists()

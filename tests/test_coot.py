@@ -8,6 +8,7 @@ import pytest
 from coopt import (
     ABSOLUTE,
     CootProblem,
+    Coupling,
     DimensionError,
     DomainError,
     KULLBACK_LEIBLER,
@@ -539,3 +540,59 @@ def test_uncertified_lp_makes_the_solve_unconverged(monkeypatch):
     assert not sol.converged
     monkeypatch.setattr(ot, "_transport_lp", real)
     assert ot.exact_ot(uniform_histogram(4), uniform_histogram(5), rng.random((4, 5))).converged
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.05])
+def test_a_solve_builds_two_couplings_per_restart(eps, monkeypatch):
+    """Inner results carry their plans; the only couplings a solve builds
+    are the two of each restart's solution."""
+    built = []
+    check = Coupling.__post_init__
+
+    def counted(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(Coupling, "__post_init__", counted)
+    rng = np.random.default_rng(55)
+    problem = CootProblem(rng.random((6, 4)), rng.random((5, 3)),
+                          eps_samples=eps, eps_features=eps)
+    restarts = 3
+    sol = solve_coot(problem, restarts=restarts, seed=0)
+    assert sol.iterations > 0
+    assert len(built) == 2 * restarts
+
+
+@pytest.mark.parametrize("knob", ["max_iter", "sinkhorn_max_iter"])
+def test_problem_counts_must_be_integers(knob):
+    X = np.random.default_rng(56).random((4, 3))
+    with pytest.raises(DomainError, match=f"^{knob} must be an integer, got 2.5$"):
+        CootProblem(X, X, **{knob: 2.5})
+    with pytest.raises(DomainError, match=f"^{knob} must be an integer, got '3'$"):
+        CootProblem(X, X, **{knob: "3"})
+    problem = CootProblem(X, X, **{knob: np.int64(3)})
+    assert solve_coot(problem).iterations <= 3
+    with pytest.raises(DomainError, match=r"^need max_iter >= 0 and sinkhorn_max_iter >= 1 "):
+        CootProblem(X, X, **{knob: -1})
+
+
+@pytest.mark.parametrize("arg", ["restarts", "seed", "jobs"])
+def test_restart_arguments_must_be_integers(arg):
+    X = np.random.default_rng(57).random((4, 3))
+    C = sqeuclid_matrix(X)
+    with pytest.raises(DomainError, match=f"^{arg} must be an integer, got 1.5$"):
+        solve_coot(CootProblem(X, X), **{arg: 1.5})
+    if arg != "jobs":
+        with pytest.raises(DomainError, match=f"^{arg} must be an integer, got 1.5$"):
+            solve_gw_dc(C, C, **{arg: 1.5})
+    sol = solve_coot(CootProblem(X, X), **{arg: np.int64(2)})
+    assert sol.cost == solve_coot(CootProblem(X, X), **{arg: 2}).cost
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_solve_rejects_a_non_finite_entropic_plan():
+    rng = np.random.default_rng(0)
+    problem = CootProblem(1e5 * rng.random((4, 3)), rng.random((5, 2)), eps_samples=1e-300)
+    with pytest.raises(DomainError,
+                       match=r"^coupling plan: entries must be finite \(no NaN/Inf\)$"):
+        solve_coot(problem)

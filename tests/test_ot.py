@@ -9,6 +9,7 @@ import pytest
 from scipy.optimize import linprog
 
 from coopt import (
+    Coupling,
     DimensionError,
     DomainError,
     entropic_ot,
@@ -513,3 +514,33 @@ def test_entropic_ot_stack_results_own_their_plans(shape):
     results[1].coupling.plan[...] = -1.0
     for r in (0, 2):
         assert results[r].coupling.plan.tobytes() == before[r].tobytes()
+
+
+def test_ot_result_builds_its_coupling_once_on_first_read():
+    rng = np.random.default_rng(31)
+    w, wp = uniform_histogram(4), np.array([0.2, 0.3, 0.5])
+    for res in (exact_ot(w, wp, rng.random((4, 3))), entropic_ot(w, wp, rng.random((4, 3)), 0.1),
+                ot.entropic_ot_stack(w, wp, rng.random((2, 4, 3)), 0.1)[1]):
+        assert "coupling" not in vars(res)
+        first = res.coupling
+        assert res.coupling is first
+        assert first.plan is res.plan
+        expected = Coupling(res.plan, w, wp)
+        assert np.array_equal(first.plan, expected.plan)
+        assert np.array_equal(first.row_marginal, expected.row_marginal)
+        assert np.array_equal(first.col_marginal, expected.col_marginal)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("solve", ["sinkhorn", "entropic_ot", "entropic_ot_stack"])
+def test_entropic_solvers_reject_a_non_finite_plan(solve):
+    """An eps far below the cost's rounding overflows the plan; the result
+    refuses it with the text a Coupling gives."""
+    C = 1e10 * np.random.default_rng(0).random((4, 3))
+    w, wp = uniform_histogram(4), uniform_histogram(3)
+    call = {"sinkhorn": lambda: sinkhorn(w, wp, C, 1e-300),
+            "entropic_ot": lambda: entropic_ot(w, wp, C, 1e-300),
+            "entropic_ot_stack": lambda: ot.entropic_ot_stack(w, wp, C[None], 1e-300)}[solve]
+    with pytest.raises(DomainError,
+                       match=r"^coupling plan: entries must be finite \(no NaN/Inf\)$"):
+        call()

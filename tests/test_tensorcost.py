@@ -11,6 +11,7 @@ from coopt import (
     DomainError,
     KULLBACK_LEIBLER,
     SQUARED_EUCLIDEAN,
+    PreparedContraction,
     Side,
     UnsupportedLossError,
     contract,
@@ -19,6 +20,7 @@ from coopt import (
     coot_objective,
     uniform_histogram,
 )
+from coopt import tensorcost
 
 
 def quadruple_loop(X, X2, pi, loss, side):
@@ -252,3 +254,33 @@ def test_contract_takes_one_coupling_only(loss):
     X, X2 = rng.random((3, 2)), rng.random((4, 2))
     with pytest.raises(DimensionError, match="expected a non-empty 2-D array"):
         contract(X, X2, rng.random((2, 2, 2)), loss, Side.SAMPLE)
+
+
+@pytest.mark.parametrize("loss", [SQUARED_EUCLIDEAN, ABSOLUTE])
+def test_one_off_calls_check_each_plan_once(loss, monkeypatch):
+    """:func:`contract` and :func:`coot_objective` check each 2-D plan once,
+    with the errors they gave before, and still refuse a stack of plans."""
+    checked = []
+    real = tensorcost.plan_array
+
+    def counted(pi):
+        checked.append(pi)
+        return real(pi)
+
+    monkeypatch.setattr(tensorcost, "plan_array", counted)
+    rng = np.random.default_rng(4)
+    X, X2 = rng.random((3, 2)), rng.random((4, 5))
+    ps, pv = np.full((3, 4), 1 / 12), np.full((2, 5), 0.1)
+    got = contract(X, X2, pv, loss, Side.SAMPLE)
+    assert len(checked) == 1
+    coot_objective(X, X2, ps, pv, loss)
+    assert len(checked) == 3
+    assert np.array_equal(got, PreparedContraction(X, X2, loss).contract(pv, Side.SAMPLE))
+    with pytest.raises(DimensionError, match=r"^coupling: expected a non-empty 2-D array, "
+                                             r"got shape \(2, 2, 5\)$"):
+        contract(X, X2, rng.random((2, 2, 5)), loss, Side.SAMPLE)
+    with pytest.raises(DomainError, match=r"^coupling: entries must be finite"):
+        contract(X, X2, np.full((2, 5), np.nan), loss, Side.SAMPLE)
+    with pytest.raises(DimensionError, match=r"^sample-side contraction needs a \(2, 5\) "
+                                             r"coupling, got \(5, 2\)$"):
+        coot_objective(X, X2, ps, pv.T, loss)
