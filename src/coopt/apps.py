@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .core import (
     ABSOLUTE,
@@ -27,9 +26,11 @@ from .core import (
     Loss,
     SQUARED_EUCLIDEAN,
     as_matrix,
+    check_integer,
     plan_array,
 )
 from .coot import CootProblem, CootSolution, _solve_single, solve_coot
+from .ot import linear_sum_assignment
 from .tensorcost import coot_objective
 
 __all__ = [
@@ -111,6 +112,7 @@ def cocluster(
     """
     X = as_matrix(X, "X")
     n, d = X.shape
+    check_integer(g=g, m=m, outer_iter=outer_iter, seed=seed, inner_iter=inner_iter)
     if not (1 <= g <= n) or not (1 <= m <= d):
         raise DimensionError(f"need 1 <= g <= n and 1 <= m <= d, got g={g}, m={m}")
     if outer_iter < 1:
@@ -290,9 +292,13 @@ def one_hot_labels(labels, num_classes: Optional[int] = None) -> np.ndarray:
     bad = ~np.isfinite(values) | (values != np.round(values))
     if bad.any():
         raise DomainError(f"labels must be integers, got {values[bad][0]:g}")
-    labels = values.astype(np.int64)
-    if np.any(labels < -1):
+    if values.min() < -1:
         raise DomainError("labels must be >= -1 (-1 means unlabeled)")
+    if values.max() >= 2.0**63:
+        raise DomainError(f"label {values.max():g} is beyond the int64 range")
+    labels = values.astype(np.int64)
+    if num_classes is not None:
+        check_integer(num_classes=num_classes)
     k = int(labels.max()) + 1 if num_classes is None else num_classes
     if k < 1:
         raise DomainError("at least one class is required")

@@ -41,7 +41,6 @@ always exists; it is the reference the solver is certified against in tests.
 from __future__ import annotations
 
 import itertools
-import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import ClassVar, List, Optional, Sequence, Tuple
@@ -56,6 +55,7 @@ from .core import (
     SQUARED_EUCLIDEAN,
     as_histogram,
     as_matrix,
+    check_integer,
     uniform_histogram,
 )
 from .ot import OtResult, entropic_ot, entropic_ot_stack, exact_ot  # noqa: F401
@@ -76,16 +76,6 @@ __all__ = [
 ]
 
 ORACLE_MAX_SIZE = 6
-
-
-def _check_integer(**values):
-    """DomainError naming the first of ``values`` that is no integer (a
-    Python or numpy one) by :func:`operator.index`."""
-    for name, value in values.items():
-        try:
-            operator.index(value)
-        except TypeError:
-            raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -139,7 +129,7 @@ class CootProblem:
                               f"{self.eps_samples} and {self.eps_features}")
         if not self.tol >= 0:
             raise DomainError(f"tol must be >= 0, got {self.tol}")
-        _check_integer(max_iter=self.max_iter, sinkhorn_max_iter=self.sinkhorn_max_iter)
+        check_integer(max_iter=self.max_iter, sinkhorn_max_iter=self.sinkhorn_max_iter)
         if self.max_iter < 0 or self.sinkhorn_max_iter < 1:
             raise DomainError("need max_iter >= 0 and sinkhorn_max_iter >= 1 (the cap on "
                               "Newton steps per entropic solve), got "
@@ -415,7 +405,7 @@ def _best_restart(problem: CootProblem, restarts: int, seed: int,
     restarts overlap in the LP solver, which runs outside the interpreter
     lock.
     """
-    _check_integer(restarts=restarts, seed=seed, jobs=jobs)
+    check_integer(restarts=restarts, seed=seed, jobs=jobs)
     if restarts < 1:
         raise DomainError("restarts must be >= 1")
     if jobs < 1:

@@ -7,6 +7,7 @@ before mutating.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -51,6 +52,16 @@ class UnsupportedLossError(CooptError):
 
 class ConfigError(CooptError):
     """A configuration object is internally inconsistent."""
+
+
+def check_integer(**values):
+    """DomainError naming the first of ``values`` that is no integer (a
+    Python or numpy one) by :func:`operator.index`."""
+    for name, value in values.items():
+        try:
+            operator.index(value)
+        except TypeError:
+            raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:

@@ -456,3 +456,43 @@ def test_integer_valued_float_labels_are_their_integers():
     assert np.array_equal(one_hot_labels([1.0, -1.0, 0.0]), one_hot_labels([1, -1, 0]))
     assert np.array_equal(one_hot_labels(np.array([2, 0], dtype=np.uint8)),
                           one_hot_labels([2, 0]))
+
+
+@pytest.mark.parametrize("name", ["g", "m", "outer_iter", "seed", "inner_iter"])
+def test_cocluster_non_integer_counts_and_seed_are_a_domain_error(name):
+    kwargs = dict(g=2, m=2, outer_iter=2, seed=0, inner_iter=2)
+    kwargs[name] = 1.5
+    with pytest.raises(DomainError, match=f"^{name} must be an integer, got 1.5$"):
+        cocluster(np.random.default_rng(57).random((8, 6)), **kwargs)
+
+
+def test_cocluster_takes_numpy_integers():
+    X = np.random.default_rng(58).random((8, 6))
+    got = cocluster(X, np.int64(2), np.int32(2), outer_iter=np.int64(2), seed=np.uint8(3))
+    want = cocluster(X, 2, 2, outer_iter=2, seed=3)
+    assert np.array_equal(got.summary, want.summary)
+
+
+@pytest.mark.parametrize("num_classes", [2.5, 3.0, "3"])
+def test_one_hot_non_integer_class_count_is_a_domain_error(num_classes):
+    with pytest.raises(DomainError, match="^num_classes must be an integer, got "):
+        one_hot_labels([0, 1], num_classes=num_classes)
+
+
+def test_one_hot_takes_a_numpy_integer_class_count():
+    assert np.array_equal(one_hot_labels([0, 1], num_classes=np.int64(3)),
+                          one_hot_labels([0, 1], num_classes=3))
+
+
+@pytest.mark.filterwarnings("error")  # an overflowing int64 cast warns
+@pytest.mark.parametrize("label", [1e20, 2.0**63])
+def test_one_hot_label_beyond_int64_is_a_domain_error(label):
+    with pytest.raises(DomainError, match="is beyond the int64 range"):
+        one_hot_labels([0, label], num_classes=3)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("label", [-1e20, -2.0**63 - 4096])
+def test_one_hot_label_below_int64_is_out_of_range(label):
+    with pytest.raises(DomainError, match="^labels must be >= -1"):
+        one_hot_labels([0, label])
