@@ -201,6 +201,8 @@ class BlockConfig:
     separation: float
 
     def __post_init__(self):
+        check_integer(n=self.n, d=self.d, row_clusters=self.row_clusters,
+                      col_clusters=self.col_clusters)
         if self.n < self.row_clusters or self.d < self.col_clusters:
             raise ConfigError("fewer rows/columns than clusters")
         if not np.isfinite(self.separation):
@@ -256,6 +258,7 @@ def generate_blocks(config: BlockConfig, seed: int):
 
     Returns ``(X, row_labels, col_labels)``; deterministic for a fixed seed.
     """
+    check_integer(seed=seed)
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
     g, m = config.row_clusters, config.col_clusters

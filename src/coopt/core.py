@@ -99,6 +99,7 @@ def as_histogram(a, name: str = "weights") -> np.ndarray:
 
 def uniform_histogram(n: int) -> np.ndarray:
     """Uniform weight vector with ``n`` bins, renormalized to sum to 1."""
+    check_integer(n=n)
     if n < 1:
         raise DimensionError(f"histogram needs at least one bin, got n={n}")
     h = np.full(n, 1.0 / n)

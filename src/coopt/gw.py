@@ -46,7 +46,7 @@ __all__ = [
     "gw_coot_equivalence_check",
 ]
 
-_EQUIVALENCE_TOL = 1e-9  # absolute slack of the gw_coot_equivalence_check comparisons
+_EQUIVALENCE_TOL = 1e-9  # relative slack of the gw_coot_equivalence_check comparisons
 
 
 class SimilarityKind(enum.Enum):
@@ -178,7 +178,8 @@ def gw_coot_equivalence_check(points, points2) -> dict:
 
     Checks, all via brute force: the two-coupling value never exceeds the
     tied value; the two are equal here; and the tied pair built from the
-    optimal single permutation attains the two-coupling optimum.
+    optimal single permutation attains the two-coupling optimum. Each holds
+    up to a slack of ``1e-9 max(1, |GW value|)``.
     """
     C = sqeuclid_matrix(as_matrix(points, "points")).matrix
     C2 = sqeuclid_matrix(as_matrix(points2, "points'")).matrix
@@ -198,10 +199,11 @@ def gw_coot_equivalence_check(points, points2) -> dict:
     plan = np.zeros((n, n))
     plan[np.arange(n), list(best_perm)] = 1.0 / n
     tied_pair_value = coot_objective(C, C2, plan, plan, SQUARED_EUCLIDEAN)
+    slack = _EQUIVALENCE_TOL * max(1.0, abs(gw_value))
     return {
         "coot_value": coot.cost,
         "gw_value": gw_value,
-        "coot_leq_gw": coot.cost <= gw_value + _EQUIVALENCE_TOL,
-        "values_equal": abs(coot.cost - gw_value) <= _EQUIVALENCE_TOL,
-        "tied_pair_attains_coot": abs(tied_pair_value - coot.cost) <= _EQUIVALENCE_TOL,
+        "coot_leq_gw": coot.cost <= gw_value + slack,
+        "values_equal": abs(coot.cost - gw_value) <= slack,
+        "tied_pair_attains_coot": abs(tied_pair_value - coot.cost) <= slack,
     }

@@ -16,9 +16,10 @@ Each returns an :class:`OtResult` that holds its plan; the checked
 concurrently on distinct inputs. They are pure but for one cache: for LPs
 of at most 3,000 cells, :func:`exact_ot` keeps, per thread, the HiGHS
 models of the last two marginal pairs it solved on, so a sequence of small
-LPs on fixed marginals builds each model once. Larger LPs are solved on a
-shortlist of cells with a model built per call, which is dropped on
-return. The cache changes no result.
+LPs on fixed marginals builds each model once. Larger LPs, and full LPs
+that miss the certificate bound, are solved on a shortlist of cells with a
+model built per call, which is dropped on return. A cached model only ever
+has its costs changed, so the cache changes no result.
 
 The exact solvers need two compiled scipy modules, the HiGHS binding
 ``scipy.optimize._highspy._core`` and the Hungarian solver
@@ -50,6 +51,7 @@ from .core import (
     DomainError,
     as_histogram,
     as_matrix,
+    check_integer,
     marginal_residual,
 )
 
@@ -272,9 +274,9 @@ def _transport_lp(w: np.ndarray, wp: np.ndarray, C: np.ndarray):
     solver state cleared and the costs replaced, so every solve starts cold:
     plans and iteration counts are bitwise those of a fresh model, and so of
     ``linprog(..., method="highs-ds")``. HiGHS stops at an absolute dual
-    tolerance of 1e-7; a plan that misses the certificate bound is re-solved
-    warm on the scaled costs with the bound as tolerance, which is then put
-    back for the next cold solve.
+    tolerance of 1e-7; a plan that misses the certificate bound is solved
+    again by :func:`_shortlist_lp`, listing cells from this solve's
+    potentials, and the iterations of both solves are counted.
     """
     h, cols = _lp_model(w, wp)
     h.clearSolver()
@@ -283,15 +285,8 @@ def _transport_lp(w: np.ndarray, wp: np.ndarray, C: np.ndarray):
     x, red, duals = _solution(h, C)
     top = float(np.abs(C).max()) or 1.0
     if red.min() < -_CERTIFY * top:
-        C, top, e = _scaled(C)
-        h.changeColsCost(cols.size, cols, C.ravel())
-        tol = h.getOptionValue("dual_feasibility_tolerance")[1]
-        h.setOptionValue("dual_feasibility_tolerance", _CERTIFY * top)
-        try:
-            nit += _solve(h)
-        finally:
-            h.setOptionValue("dual_feasibility_tolerance", tol)
-        x, red, duals = _solution(h, C, e)
+        x, more, certificate, duals = _shortlist_lp(w, wp, C, duals)
+        return x, nit + more, certificate, duals
     return x.reshape(C.shape), nit, float(red.min()) / top, duals
 
 
@@ -401,8 +396,8 @@ def exact_ot(w, wp, C,
     cells, computed from the row duals, divided by ``max|C|`` (by 1 when
     ``C`` is all zero); the plan is optimal when it is >= 0. HiGHS's own
     dual tolerance is an absolute 1e-7, so a full-LP plan below ``-1e-9`` is
-    re-solved warm with that bound as HiGHS's tolerance, as the shortlist LP
-    is solved throughout. An LP result is ``converged`` when its certificate
+    solved again by the shortlist LP from its own potentials; ``iterations``
+    counts both solves. An LP result is ``converged`` when its certificate
     is >= -1e-9 and its ``marginal_error`` <= 1e-9. A Hungarian result is
     optimal by construction, reports 0 for both and is converged.
     """
@@ -718,6 +713,7 @@ def _entropic(w, wp, C, eps, max_iter, tol, init_potentials):
 def _check_entropic(eps, max_iter, tol, name):
     if not 0 < eps < np.inf:
         raise DomainError(f"{name} needs eps > 0, got {eps}")
+    check_integer(max_iter=max_iter)
     if max_iter < 1:
         raise DomainError(f"{name} needs max_iter >= 1, got {max_iter}")
     if not tol >= 0:

@@ -496,3 +496,31 @@ def test_one_hot_label_beyond_int64_is_a_domain_error(label):
 def test_one_hot_label_below_int64_is_out_of_range(label):
     with pytest.raises(DomainError, match="^labels must be >= -1"):
         one_hot_labels([0, label])
+
+
+@pytest.mark.parametrize("seed", [1.5, 2.0, "2"])
+def test_generate_blocks_non_integer_seed_is_a_domain_error(seed):
+    with pytest.raises(DomainError, match="^seed must be an integer, got "):
+        generate_blocks(BLOCK_PRESETS["D3"], seed)
+
+
+def test_generate_blocks_takes_a_numpy_integer_seed():
+    config = BlockConfig(12, 8, 2, 2, (0.5, 0.5), (0.5, 0.5), 2.0)
+    for got, expected in zip(generate_blocks(config, np.int64(3)), generate_blocks(config, 3)):
+        assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("field, value", [("n", 30.5), ("d", 20.0), ("row_clusters", 2.0),
+                                          ("col_clusters", 2.5)])
+def test_block_config_non_integer_count_is_a_domain_error(field, value):
+    counts = dict(n=30, d=20, row_clusters=2, col_clusters=2)
+    counts[field] = value
+    with pytest.raises(DomainError, match=f"^{field} must be an integer, got "):
+        BlockConfig(**counts, row_proportions=(0.5, 0.5), col_proportions=(0.5, 0.5),
+                    separation=2.0)
+
+
+def test_block_config_takes_numpy_integer_counts():
+    config = BlockConfig(np.int64(12), np.int32(8), np.int64(2), np.int64(2), (0.5, 0.5),
+                         (0.5, 0.5), 2.0)
+    assert generate_blocks(config, 0)[0].shape == (12, 8)

@@ -254,3 +254,13 @@ def test_coupling_errors_keep_their_class_and_message(plan, w, wp, error, messag
 def test_coupling_accepts_negative_zero_entries():
     plan = np.array([[0.5, -0.0], [0.0, 0.5]])
     assert Coupling(plan, [0.5, 0.5], [0.5, 0.5]).plan is not None
+
+
+@pytest.mark.parametrize("n", [2.5, 3.0, "3", None])
+def test_uniform_histogram_non_integer_size_is_a_domain_error(n):
+    with pytest.raises(DomainError, match="^n must be an integer, got "):
+        uniform_histogram(n)
+
+
+def test_uniform_histogram_takes_a_numpy_integer_size():
+    assert uniform_histogram(np.int64(3)).tobytes() == uniform_histogram(3).tobytes()

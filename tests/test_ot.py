@@ -544,3 +544,27 @@ def test_entropic_solvers_reject_a_non_finite_plan(solve):
     with pytest.raises(DomainError,
                        match=r"^coupling plan: entries must be finite \(no NaN/Inf\)$"):
         call()
+
+
+@pytest.mark.parametrize("solve", ["sinkhorn", "entropic_ot", "entropic_ot_stack"])
+@pytest.mark.parametrize("max_iter", [2.5, 3.0, "3"])
+def test_entropic_solvers_reject_a_non_integer_iteration_cap(solve, max_iter):
+    C = np.random.default_rng(1).random((4, 3))
+    w, wp = uniform_histogram(4), uniform_histogram(3)
+    call = {"sinkhorn": lambda: sinkhorn(w, wp, C, 0.1, max_iter=max_iter),
+            "entropic_ot": lambda: entropic_ot(w, wp, C, 0.1, max_iter=max_iter),
+            "entropic_ot_stack": lambda: ot.entropic_ot_stack(w, wp, C[None], 0.1,
+                                                              max_iter=max_iter)}[solve]
+    with pytest.raises(DomainError, match="^max_iter must be an integer, got "):
+        call()
+
+
+def test_entropic_solvers_take_a_numpy_integer_iteration_cap():
+    C = np.random.default_rng(2).random((4, 3))
+    w, wp = uniform_histogram(4), uniform_histogram(3)
+    for solve in (sinkhorn, entropic_ot):
+        got, expected = solve(w, wp, C, 0.1, max_iter=np.int64(7)), solve(w, wp, C, 0.1, max_iter=7)
+        assert got.plan.tobytes() == expected.plan.tobytes()
+        assert got.iterations == expected.iterations
+    got = ot.entropic_ot_stack(w, wp, C[None], 0.1, max_iter=np.int32(7))[0]
+    assert got.plan.tobytes() == entropic_ot(w, wp, C, 0.1, max_iter=7).plan.tobytes()

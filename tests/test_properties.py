@@ -15,6 +15,7 @@ from coopt import (
     coot_objective,
     entropic_ot,
     exact_ot,
+    gw_coot_equivalence_check,
     random_coupling,
     sinkhorn,
     solve_coot,
@@ -125,3 +126,22 @@ def test_solve_coot_property_reports_its_cost_and_respects_the_oracle(n, d, kind
         assert sol.sample_coupling.feasible(1e-9) and sol.feature_coupling.feasible(1e-9)
         oracle = bap_oracle(X, X2, loss).cost
         assert sol.cost >= oracle - 1e-12 * max(1.0, abs(oracle))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 4), d=st.integers(1, 3), d2=st.integers(1, 3),
+       scale_exp=st.floats(-2, 3), repeat=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_gw_coot_equivalence_property_holds_at_every_scale(n, d, d2, scale_exp, repeat, seed):
+    """The paper's relation between COOT and GW on squared-Euclidean
+    matrices of generated clouds of up to 4 points, at coordinate scales
+    1e-2 to 1e3: COOT <= GW, the two are equal, and the tied pair of the
+    optimal permutation attains COOT. On some draws a point repeats."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0**scale_exp
+    P, Q = scale * rng.random((n, d)), scale * rng.random((n, d2))
+    if repeat and n > 1:
+        P[-1] = P[0]
+    report = gw_coot_equivalence_check(P, Q)
+    assert report["coot_leq_gw"], report
+    assert report["values_equal"], report
+    assert report["tied_pair_attains_coot"], report
