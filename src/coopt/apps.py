@@ -67,7 +67,8 @@ class CoClustering:
     summary: np.ndarray  # learned prototype matrix, g x m
     solution: CootSolution
     objective_trace: List[float] = field(repr=False)
-    converged: bool = False  # prototype loop stopped by its tolerance
+    # the prototype loop stopped by its tolerance and every round's solve converged
+    converged: bool = False
 
 
 def summary_update(X, sample_plan, feature_plan) -> np.ndarray:
@@ -108,7 +109,10 @@ def cocluster(
     more than 1e-8 or after ``outer_iter`` rounds. The loss is squared
     Euclidean (the refit, :func:`summary_update`, is its minimizer) and each
     entropic inner solve stops after at most 500 Newton steps. All four
-    weight vectors are uniform.
+    weight vectors are uniform. ``converged`` holds only if the prototype
+    loop met its tolerance and every round's solve converged: a round
+    stopped at ``inner_iter`` alternations, or by an unconverged inner
+    solve, leaves the clustering unconverged even when the last round is not.
     """
     X = as_matrix(X, "X")
     n, d = X.shape
@@ -125,13 +129,15 @@ def cocluster(
     init = None
     trace: List[float] = []
     solution: Optional[CootSolution] = None
-    outer_converged = False
+    converged = False
+    rounds_ok = True  # every round's solve so far converged
     for _ in range(outer_iter):
         problem = CootProblem(
             X, summary, eps_samples=eps1, eps_features=eps2,
             max_iter=inner_iter, sinkhorn_max_iter=500,
         )
         solution = _solve_single(problem, init)
+        rounds_ok = rounds_ok and solution.converged
         ps = solution.sample_coupling.plan
         pv = solution.feature_coupling.plan
         init = (ps, pv)
@@ -140,7 +146,7 @@ def cocluster(
         delta = float(np.max(np.abs(new_summary - summary)))
         summary = new_summary
         if delta <= 1e-8:
-            outer_converged = True
+            converged = rounds_ok
             break
     # final couplings against the final prototype
     final = dataclasses.replace(
@@ -151,7 +157,7 @@ def cocluster(
         summary=summary,
         solution=final,
         objective_trace=trace,
-        converged=outer_converged,
+        converged=converged,
     )
 
 

@@ -252,7 +252,7 @@ def cmd_cocluster(args) -> dict:
                                 clustering.col_labels, true_cols)
     sol = clustering.solution
     return _solved(sol, iterations=len(clustering.objective_trace),
-                   converged=clustering.converged and sol.converged,
+                   converged=clustering.converged,
                    files=[("row_labels", clustering.row_labels),
                           ("col_labels", clustering.col_labels),
                           ("xc", clustering.summary)], extra=extra)

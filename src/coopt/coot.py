@@ -6,7 +6,8 @@ coupling, then update the sample coupling against the cost contracted with
 the fresh feature coupling. With exact inner solvers each half-step can only
 decrease the objective, so the trace is monotone. Gromov-Wasserstein
 (:mod:`coopt.gw`) runs on the same driver as the tied case: one coupling on
-both slots, so only the sample half-step is solved. An exact half-step
+both slots, so only the sample half-step is solved, and its exact steps that
+move take the assignment path of :func:`~coopt.ot.exact_ot`. An exact half-step
 whose cost equals the previous one up to rounding (``max|C - C_prev| <=
 2**-40 max|C|``) keeps its previous plan instead of re-solving the LP; that
 plan is within ``2 max|C - C_prev|`` of optimal. Otherwise each side starts
@@ -246,9 +247,11 @@ def _starts(problem: CootProblem, restarts: int, seed: int, tied: bool) -> list:
 _REUSE_RTOL = 2.0**-40
 
 
-def _inner_ot(w, wp, cost, eps, problem: CootProblem, prev) -> OtResult:
+def _inner_ot(w, wp, cost, eps, problem: CootProblem, prev, current=None) -> OtResult:
     """One side's inner solve for one restart; ``prev`` is that side's
-    previous ``(cost, result)`` pair, or None.
+    previous ``(cost, result)`` pair, or None, and ``current`` the plan that
+    priced ``cost`` when the step may take :func:`~coopt.ot.exact_ot`'s
+    assignment path (a tied exact step), or None.
 
     An entropic side is the one-restart call of :func:`_inner_side`, warm
     from the previous potentials. An exact side
@@ -267,22 +270,26 @@ def _inner_ot(w, wp, cost, eps, problem: CootProblem, prev) -> OtResult:
     if prev is not None and np.abs(cost - prev[0]).max() <= _REUSE_RTOL * np.abs(cost).max():
         return prev[1]
     # positional, so that a stand-in taking ``*args`` sees the warm start too
-    return exact_ot(w, wp, cost, None if prev is None else prev[1].potentials)
+    return exact_ot(w, wp, cost, None if prev is None else prev[1].potentials, current)
 
 
-def _inner_side(w, wp, costs, eps, problem: CootProblem, prevs) -> List[OtResult]:
+def _inner_side(w, wp, costs, eps, problem: CootProblem, prevs,
+                currents=None) -> List[OtResult]:
     """One side's inner solves for a stack of restarts: ``costs`` is their
-    ``(A, n, m)`` cost stack and ``prevs`` their previous ``(cost, result)``
-    pairs, or Nones, as for :func:`_inner_ot`. An entropic side solves the
-    whole stack in one :func:`~coopt.ot.entropic_ot_stack` call; an exact side
-    runs :func:`_inner_ot` per restart, each LP outside the interpreter lock.
+    ``(A, n, m)`` cost stack, ``prevs`` their previous ``(cost, result)``
+    pairs, or Nones, and ``currents`` None or their current plans, as for
+    :func:`_inner_ot`. An entropic side solves the whole stack in one
+    :func:`~coopt.ot.entropic_ot_stack` call; an exact side runs
+    :func:`_inner_ot` per restart, each LP outside the interpreter lock.
     """
     if eps > 0:
         # the restarts of a stack are at the same iteration: all or none are warm
         warm = None if prevs[0] is None else [prev[1].potentials for prev in prevs]
         return entropic_ot_stack(w, wp, costs, eps, max_iter=problem.sinkhorn_max_iter,
                                  tol=problem.sinkhorn_tol, init_potentials=warm)
-    return [_inner_ot(w, wp, cost, eps, problem, prev) for cost, prev in zip(costs, prevs)]
+    currents = currents or [None] * len(prevs)
+    return [_inner_ot(w, wp, cost, eps, problem, prev, current)
+            for cost, prev, current in zip(costs, prevs, currents)]
 
 
 def _masked(costs: np.ndarray, problem: CootProblem) -> np.ndarray:
@@ -321,6 +328,17 @@ def _solve_stack(problem: CootProblem, starts: Sequence, tied: bool = False,
     one up to rounding, ``max|C - C_prev| <= 2**-40 max|C|``, so the
     iteration that only confirms a fixed point runs no LP there; the cost
     arrays are compared, not copied.
+
+    A tied exact step passes :func:`~coopt.ot.exact_ot` the restart's
+    current plan, so a uniform non-square step that moves is solved as an
+    assignment on the lcm expansion. Such a plan is neither returned nor
+    reused: the step that repeats its support is the fixed point, solved by
+    the LP, and the restart passes no plan from then on. A restart that
+    stops right after an assignment step (at ``max_iter``, or within a
+    ``tol`` that large) solves that step's cost again by the LP and takes
+    its plan and objective. Untied solves pass no plan, so they stay on the
+    LP: there the converging iteration reuses a sample result, which must
+    be an LP's to be returned.
     """
     # tied: one coupling on both slots (GW), no feature half-step. ``costs`` is
     # the sample-side contraction of the running restarts' ``pv``: it prices the
@@ -342,13 +360,27 @@ def _solve_stack(problem: CootProblem, starts: Sequence, tied: bool = False,
     inner_ok = [True] * len(starts)  # every inner result so far converged
     active = list(range(len(starts)))
 
-    def half_step(marginals, costs, eps, prev, plans):
+    def half_step(marginals, costs, eps, prev, plans, currents=None):
         # one side's inner solves for the running restarts, written back
-        results = _inner_side(*marginals, costs, eps, problem, [prev[r] for r in active])
+        results = _inner_side(*marginals, costs, eps, problem, [prev[r] for r in active],
+                              currents)
         for r, c, res in zip(active, costs, results):
             prev[r] = c if eps == 0 else None, res
             plans[r] = res.plan
             inner_ok[r] = inner_ok[r] and res.converged
+
+    def stop(r):
+        # a restart whose last sample plan came from the assignment path
+        # re-solves that cost cold, so that it returns the LP's plan
+        last = prev_s[r]
+        if last is not None and last[1].kind == "assignment":
+            res = _inner_ot(w, wp, last[0], 0.0, problem, None)
+            ps[r] = res.plan
+            inner_ok[r] = inner_ok[r] and res.converged
+            cost = contraction.contract(res.plan[None], Side.SAMPLE)[0]
+            traces[r][-1] = float((cost * res.plan).sum())
+        # its plans own their memory; the previous costs it drops are slices
+        prev_s[r] = prev_v[r] = None
 
     for _ in range(problem.max_iter):
         if not active:
@@ -358,7 +390,11 @@ def _solve_stack(problem: CootProblem, starts: Sequence, tied: bool = False,
             half_step((v, vp), contraction.contract(_stack([ps[r] for r in active]), Side.FEATURE),
                       problem.eps_features, prev_v, pv)
             costs = contraction.contract(_stack([pv[r] for r in active]), Side.SAMPLE)
-        half_step((w, wp), _masked(costs, problem), problem.eps_samples, prev_s, ps)
+        # a tied restart offers its current plan, and so the assignment path,
+        # until a step repeats that plan's support and the LP solves it
+        currents = [ps[r] if prev_s[r] is None or prev_s[r][1].kind == "assignment" else None
+                    for r in active] if tied else None
+        half_step((w, wp), _masked(costs, problem), problem.eps_samples, prev_s, ps, currents)
         plans = _stack([pv[r] for r in active])
         if tied:
             costs = contraction.contract(plans, Side.SAMPLE)
@@ -370,11 +406,12 @@ def _solve_stack(problem: CootProblem, starts: Sequence, tied: bool = False,
             traces[r].append(float((costs[i] * ps[r]).sum()))
             if moved[i] <= problem.tol:
                 converged[r] = True
-                # its plans own their memory; the previous costs it drops are slices
-                prev_s[r] = prev_v[r] = None
+                stop(r)
         going = [i for i, r in enumerate(active) if not converged[r]]
         active = [active[i] for i in going]
         costs = costs[going] if tied else None
+    for r in active:
+        stop(r)
     return [CootSolution(sample_coupling=Coupling(ps[r], w, wp),
                          feature_coupling=Coupling(pv[r], v, vp),
                          cost=traces[r][-1], objective_trace=traces[r],

@@ -144,6 +144,16 @@ def solve_gw_dc(
     coupling first, then an identity-biased start when the two sides have
     equal size, then seeded heavy-tailed perturbations; lowest cost wins,
     ties to the lowest index.
+
+    With ``eps=0`` and sides of different sizes whose lcm is at most 240,
+    each step that moves the coupling is solved as an assignment on the
+    lcm expansion (see :func:`~coopt.ot.exact_ot`). The step that repeats
+    its plan's support is the fixed point and is solved by the LP, as is
+    every later step of that restart, so the returned coupling is bitwise
+    ``linprog``'s plan on the last cost, also when a restart stops at
+    ``max_iter``. With ``tol=0`` a restart may take one iteration more than
+    on the LP alone: the fixed point's LP plan differs from the assignment
+    plan before it in the last bits.
     """
     C = SimilarityMatrix(_sim_array(C)).matrix
     C2 = SimilarityMatrix(_sim_array(C2)).matrix

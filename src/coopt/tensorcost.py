@@ -87,13 +87,12 @@ def _plan_stack(pi: np.ndarray) -> np.ndarray:
 
 
 def _naive(X: np.ndarray, X2: np.ndarray, pi: np.ndarray, loss: Loss) -> np.ndarray:
-    # pi is an (R, p, q) stack; each slab serves every plan, one einsum per plan
+    # pi is an (R, p, q) stack; each slab serves every plan in one einsum
     out = np.empty((len(pi), X.shape[0], X2.shape[0]))
     for i in range(X.shape[0]):
         # slab[k, l, j] = L(X_ik, X'_jl), aggregated over (k, l) weighted by pi_kl
         slab = loss.pair(X[i, :][:, None, None], X2.T[None, :, :])
-        for r, plan in enumerate(pi):
-            out[r, i, :] = np.einsum("kl,klj->j", plan, slab)
+        out[:, i, :] = np.einsum("rkl,klj->rj", pi, slab)
     return out
 
 

@@ -1,5 +1,8 @@
 """Shared fixtures."""
 
+from typing import NamedTuple
+
+import numpy as np
 import pytest
 
 import coopt.coot
@@ -18,4 +21,30 @@ def entropic_calls(monkeypatch):
         return results
 
     monkeypatch.setattr(coopt.coot, "entropic_ot_stack", record)
+    return calls
+
+
+class ExactCall(NamedTuple):
+    kind: str
+    cost: np.ndarray
+    result: object
+
+
+@pytest.fixture
+def exact_calls(monkeypatch):
+    """Every exact inner result the alternating solver takes, in order, as an
+    ``ExactCall(kind, cost, result)``: ``kind`` is the result's own (``"lp"``,
+    ``"assignment"`` or ``"hungarian"``), or ``"reused"`` when the driver
+    kept the previous result because its cost repeated."""
+    calls = []
+    solve = coopt.coot._inner_ot
+
+    def record(w, wp, cost, eps, problem, prev, *args):
+        result = solve(w, wp, cost, eps, problem, prev, *args)
+        if eps == 0:
+            reused = prev is not None and result is prev[1]
+            calls.append(ExactCall("reused" if reused else result.kind, cost, result))
+        return result
+
+    monkeypatch.setattr(coopt.coot, "_inner_ot", record)
     return calls

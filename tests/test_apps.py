@@ -524,3 +524,25 @@ def test_block_config_takes_numpy_integer_counts():
     config = BlockConfig(np.int64(12), np.int32(8), np.int64(2), np.int64(2), (0.5, 0.5),
                          (0.5, 0.5), 2.0)
     assert generate_blocks(config, 0)[0].shape == (12, 8)
+
+
+def test_cocluster_with_a_capped_round_is_not_converged(monkeypatch):
+    """On D2 seed 0 the first round stops at the ``inner_iter`` cap while the
+    last round and the prototype loop converge: the clustering is not
+    converged. On D1 seed 0 no round is capped, and it is."""
+    rounds = []
+    solve = coopt.apps._solve_single
+
+    def record(*args):
+        sol = solve(*args)
+        rounds.append(sol.converged)
+        return sol
+
+    monkeypatch.setattr(coopt.apps, "_solve_single", record)
+    X = generate_blocks(BLOCK_PRESETS["D2"], seed=0)[0]
+    result = cocluster(X, 3, 3, seed=0)
+    assert not rounds[0] and rounds[-1] and result.solution.converged
+    assert len(rounds) < 30 and not result.converged
+    rounds.clear()
+    X = generate_blocks(BLOCK_PRESETS["D1"], seed=0)[0]
+    assert cocluster(X, 3, 3, seed=0).converged and all(rounds)

@@ -543,3 +543,17 @@ def test_coot_exits_3_on_a_non_finite_entropic_plan(tmp_path):
         code = run(["coot", "--x", x, "--y", y, "--eps1", "1e-300", "--out", tmp_path / "o"])
     assert code == 3
     assert not (tmp_path / "o" / "report.json").exists()
+
+
+def test_cocluster_exits_4_when_an_earlier_round_hit_its_cap(tmp_path):
+    """D2 seed 0: a round before the last stops at the ``--inner-iter`` cap,
+    so the run is not converged and exits 4; ``--allow-maxiter`` writes the
+    same artifacts with exit 0."""
+    data = tmp_path / "d2"
+    assert run(["gen", "--preset", "D2", "--seed", "0", "--out", data]) == 0
+    argv = ["cocluster", "--x", data / "X.csv", "-g", "3", "-m", "3", "--seed", "0"]
+    assert run(argv + ["--out", tmp_path / "cc"]) == 4
+    assert read_report(tmp_path / "cc")["converged"] is False
+    assert run(argv + ["--allow-maxiter", "--out", tmp_path / "ok"]) == 0
+    for name in ("row_labels.csv", "col_labels.csv", "xc.csv"):
+        assert (tmp_path / "cc" / name).read_bytes() == (tmp_path / "ok" / name).read_bytes()

@@ -284,3 +284,18 @@ def test_one_off_calls_check_each_plan_once(loss, monkeypatch):
     with pytest.raises(DimensionError, match=r"^sample-side contraction needs a \(2, 5\) "
                                              r"coupling, got \(5, 2\)$"):
         coot_objective(X, X2, ps, pv.T, loss)
+
+
+@pytest.mark.parametrize("plans", [1, 7, 20])
+def test_naive_stack_is_bitwise_the_per_plan_einsum(plans):
+    """The naive body contracts every plan of the stack in one einsum per
+    row, bitwise the einsum of each plan alone."""
+    rng = np.random.default_rng(70 + plans)
+    X, X2 = rng.random((9, 6)), rng.random((7, 5))
+    pi = rng.random((plans, 6, 5))
+    got = tensorcost._naive(X, X2, pi, ABSOLUTE)
+    for r in range(plans):
+        for i in range(9):
+            slab = ABSOLUTE.pair(X[i, :][:, None, None], X2.T[None, :, :])
+            want = np.einsum("kl,klj->j", pi[r], slab)
+            assert np.array_equal(got[r, i].view(np.uint64), want.view(np.uint64))
