@@ -198,19 +198,26 @@ def _scale_to_marginals(plans: np.ndarray, w: np.ndarray, wp: np.ndarray) -> np.
     <= 1e-13 or 500 sweeps. A plan that has stopped leaves the sweeps: the
     plans still going are gathered into a copy, scaled there and scattered
     back when the next one stops, so each plan ends bitwise where it would
-    stop alone.
+    stop alone. The residual's column part is summed only for the plans
+    whose row part alone is within the bound, since it can only add to it.
     """
+    add = np.add.reduce  # ndarray.sum without its Python wrapper, bitwise
     going = np.arange(len(plans))
     sub = plans
-    rows = sub.sum(axis=2)
+    rows = add(sub, axis=2)
     for _ in range(500):
         if going.size == 0:
             break
         sub *= (w / rows)[:, :, None]
-        sub *= (wp / sub.sum(axis=1))[:, None, :]
-        rows = sub.sum(axis=2)
-        # core.marginal_residual of each plan
-        residual = np.abs(rows - w).sum(axis=1) + np.abs(sub.sum(axis=1) - wp).sum(axis=1)
+        sub *= (wp / add(sub, axis=1))[:, None, :]
+        rows = add(sub, axis=2)
+        # core.marginal_residual of each plan that may pass
+        residual = add(np.abs(rows - w), axis=1)
+        near = residual <= 1e-13
+        if not np.count_nonzero(near):
+            continue
+        # all column sums, not those of a gathered copy: as fast, and no copy
+        residual[near] += add(np.abs(add(sub, axis=1)[near] - wp), axis=1)
         keep = ~(residual <= 1e-13)
         if not keep.all():
             if sub is not plans:

@@ -85,9 +85,10 @@ def as_histogram(a, name: str = "weights") -> np.ndarray:
         raise DimensionError(f"{name}: expected a non-empty 1-D array, got shape {h.shape}")
     # a valid histogram passes on one min and one sum (NaN fails the min's
     # test, +inf the sum's); the checks below only pick the error, and
-    # reaching the last one means the sum was taken
-    if h.min() > 0:
-        total = h.sum()
+    # reaching the last one means the sum was taken. The ufuncs' reduce is
+    # what ndarray.min and .sum call, without their Python wrappers
+    if np.minimum.reduce(h) > 0:
+        total = np.add.reduce(h)
         if abs(total - 1.0) <= 1e-12:
             return h
     if not np.isfinite(h).all():
@@ -227,7 +228,8 @@ class Coupling:
 
 def marginal_residual(plan: np.ndarray, w: np.ndarray, wp: np.ndarray) -> float:
     """Total L1 deviation of the row and column sums of ``plan`` from ``w`` and ``wp``."""
-    return float(np.abs(plan.sum(axis=1) - w).sum() + np.abs(plan.sum(axis=0) - wp).sum())
+    add = np.add.reduce  # ndarray.sum without its Python wrapper, bitwise
+    return float(add(np.abs(add(plan, 1) - w)) + add(np.abs(add(plan, 0) - wp)))
 
 
 def validate_coupling(plan, w, wp, tol: float) -> bool:

@@ -81,6 +81,11 @@ def _scipy_binary(name: str):
 highs = _scipy_binary("_highspy._core")
 linear_sum_assignment = _scipy_binary("_lsap").linear_sum_assignment
 
+# The small solves reduce through the ufuncs' reduce, which ndarray.sum, .max
+# and .min call after a Python-level wrapper: the same result without the
+# wrapper's half microsecond, on thousands of small arrays per pass.
+_sum, _max, _min = np.add.reduce, np.maximum.reduce, np.minimum.reduce
+
 
 def __getattr__(name):
     # ``linprog`` is bound only for bench/spans.py, which wraps it by name;
@@ -109,7 +114,9 @@ class OtResult:
     ``"assignment"`` (the lcm expansion of :func:`exact_ot`) or
     ``"entropic"``.
     ``plan``, on the call's weights ``row_marginal`` and ``col_marginal``, is
-    checked finite; ``coupling`` checks the three as a Coupling on first read.
+    finite: the constructor checks it, and the solvers check an entropic
+    stack's plans at once or build finite ones. ``coupling`` checks the three
+    as a Coupling on first read.
     """
 
     plan: np.ndarray
@@ -124,13 +131,31 @@ class OtResult:
     certificate: float = 0.0
 
     def __post_init__(self):
-        # a tiny eps can overflow the plan; nothing else checks it
-        if not np.isfinite(self.plan).all():
-            raise DomainError("coupling plan: entries must be finite (no NaN/Inf)")
+        _check_finite(self.plan)
 
     @cached_property
     def coupling(self) -> Coupling:
         return Coupling(self.plan, self.row_marginal, self.col_marginal)
+
+
+def _result(plan, w, wp, cost, iterations, converged, kind, marginal_error=0.0,
+            potentials=None, certificate=0.0) -> OtResult:
+    """The :class:`OtResult` of these fields for a plan that is finite by
+    construction or was checked with its stack, set without the dataclass's
+    ``__init__``: its frozen field writes and finiteness check cost about
+    4 us, more than a small Hungarian solve's bookkeeping."""
+    result = object.__new__(OtResult)
+    result.__dict__.update(plan=plan, row_marginal=w, col_marginal=wp, cost=cost,
+                           iterations=iterations, converged=converged, kind=kind,
+                           marginal_error=marginal_error, potentials=potentials,
+                           certificate=certificate)
+    return result
+
+
+def _check_finite(plan: np.ndarray) -> None:
+    # a tiny eps can overflow an entropic plan; nothing else checks it
+    if not np.isfinite(plan).all():
+        raise DomainError("coupling plan: entries must be finite (no NaN/Inf)")
 
 
 def _check_inputs(w, wp, C):
@@ -144,16 +169,22 @@ def _check_inputs(w, wp, C):
 
 def _check_potentials(pairs, w, wp):
     """Warm potentials, None or one ``(f, g)`` pair per cost, must match the
-    weights' shapes and be finite; all pairs are checked for finiteness at once."""
+    weights' shapes and be finite; all pairs are checked for finiteness at once.
+    Returns None, or the pairs as one ``(len(pairs), n + m)`` stack whose row
+    ``r`` is ``f`` then ``g`` of pair ``r``."""
     if pairs is None:
-        return
+        return None
+    want = (w.shape, wp.shape)
     for potentials in pairs:
-        shapes = tuple(np.shape(p) for p in potentials)
-        if shapes != (w.shape, wp.shape):
+        # np.shape costs an array-function dispatch per call
+        shapes = tuple([p.shape if type(p) is np.ndarray else np.shape(p) for p in potentials])
+        if shapes != want:
             raise DimensionError(f"warm potentials {shapes} do not match weights "
                                  f"({w.size},) and ({wp.size},)")
-    if not np.isfinite(np.concatenate([p for pair in pairs for p in pair])).all():
+    stack = np.concatenate([p for pair in pairs for p in pair], dtype=np.float64)
+    if not np.isfinite(stack).all():
         raise DomainError("warm potentials: entries must be finite (no NaN/Inf)")
+    return stack.reshape(len(pairs), -1)
 
 
 def _is_uniform_square(w: np.ndarray, wp: np.ndarray) -> bool:
@@ -289,7 +320,10 @@ def _solution(h, C: np.ndarray, e: int = 0):
     red[:, :-1] -= y[n:]
     if e:
         y = np.ldexp(y, e)
-    return np.asarray(sol.col_value), red, (y[:n], np.concatenate((y[n:], [0.0])))
+    # each read of col_value builds a Python list; fromiter copies it faster
+    # than asarray, which first probes it as a sequence of sequences
+    x = np.fromiter(sol.col_value, np.float64)
+    return x, red, (y[:n], np.concatenate((y[n:], [0.0])))
 
 
 def _scaled(C: np.ndarray):
@@ -319,11 +353,12 @@ def _transport_lp(w: np.ndarray, wp: np.ndarray, C: np.ndarray):
     h.changeColsCost(cols.size, cols, C.ravel())
     nit = _solve(h)
     x, red, duals = _solution(h, C)
-    top = float(np.abs(C).max()) or 1.0
-    if red.min() < -_CERTIFY * top:
+    top = float(_max(np.abs(C), axis=None)) or 1.0
+    worst = float(_min(red, axis=None))
+    if worst < -_CERTIFY * top:
         x, more, certificate, duals = _shortlist_lp(w, wp, C, duals)
         return x, nit + more, certificate, duals
-    return x.reshape(C.shape), nit, float(red.min()) / top, duals
+    return x.reshape(C.shape), nit, worst / top, duals
 
 
 def _shortlist_lp(w: np.ndarray, wp: np.ndarray, C: np.ndarray, potentials):
@@ -450,33 +485,35 @@ def exact_ot(w, wp, C,
     optimal by construction, reports 0 for both and is converged.
     """
     w, wp, C = _check_inputs(w, wp, C)
-    _check_potentials(None if init_potentials is None else [init_potentials], w, wp)
+    if init_potentials is not None:
+        _check_potentials([init_potentials], w, wp)
     if current is not None and np.shape(current) != C.shape:
         raise DimensionError(f"current plan shape {np.shape(current)} does not match "
                              f"cost {C.shape}")
     n, m = C.shape
+    # every plan below is finite by construction: a permutation, an
+    # assignment count or HiGHS's optimal values
     if _is_uniform_square(w, wp):
         rows, cols = linear_sum_assignment(C)
         plan = np.zeros((n, m))
         plan[rows, cols] = w[0]
-        cost = float((C * plan).sum())
-        return OtResult(plan, w, wp, cost, iterations=1, converged=True, kind="hungarian")
+        return _result(plan, w, wp, float(_sum(C * plan, axis=None)), 1, True, "hungarian")
     if current is not None:
         plan = _assignment(w, wp, C)
         if plan is not None and not np.array_equal(plan > 0, np.asarray(current) > 0):
-            return OtResult(plan, w, wp, float((C * plan).sum()), iterations=1,
-                            converged=True, kind="assignment")
+            return _result(plan, w, wp, float(_sum(C * plan, axis=None)), 1, True,
+                           "assignment")
 
     if n * m > _SHORTLIST_CELLS:
         x, nit, certificate, potentials = _shortlist_lp(w, wp, C, init_potentials)
     else:
         x, nit, certificate, potentials = _transport_lp(w, wp, C)
-    plan = np.maximum(x, 0.0)
-    cost = float((C * plan).sum())
+    plan = np.maximum(x, 0.0, out=x)
+    cost = float(_sum(C * plan, axis=None))
     err = marginal_residual(plan, w, wp)
-    return OtResult(plan, w, wp, cost, iterations=int(nit),
-                    converged=bool(err <= _CERTIFY and certificate >= -_CERTIFY), kind="lp",
-                    marginal_error=err, potentials=potentials, certificate=certificate)
+    return _result(plan, w, wp, cost, int(nit),
+                   bool(err <= _CERTIFY and certificate >= -_CERTIFY), "lp", err, potentials,
+                   certificate)
 
 
 def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
@@ -565,7 +602,7 @@ def _by_columns(a: np.ndarray) -> bool:
 def _row_max(a: np.ndarray) -> np.ndarray:
     """``a.max(axis=-1)``, bitwise: a maximum does not depend on the order."""
     if not _by_columns(a):
-        return a.max(axis=-1)
+        return _max(a, axis=-1)
     out = a[..., 0].copy()
     for j in range(1, a.shape[-1]):
         np.maximum(out, a[..., j], out=out)
@@ -575,7 +612,7 @@ def _row_max(a: np.ndarray) -> np.ndarray:
 def _row_sum(a: np.ndarray) -> np.ndarray:
     """``a.sum(axis=-1)``, bitwise: short rows are summed left to right."""
     if not _by_columns(a):
-        return a.sum(axis=-1)
+        return _sum(a, axis=-1)
     out = a[..., 0].copy()
     for j in range(1, a.shape[-1]):
         out += a[..., j]
@@ -599,8 +636,8 @@ def _semi_dual(kernel, wl, log_ws, g, eps):
 def _residuals(plan, wl, ws):
     """:func:`~coopt.core.marginal_residual` of each plan of the stack, and
     the plans' column sums."""
-    col = plan.sum(axis=1)
-    return np.abs(_row_sum(plan) - wl).sum(axis=1) + np.abs(col - ws).sum(axis=1), col
+    col = _sum(plan, axis=1)
+    return _sum(np.abs(_row_sum(plan) - wl), axis=1) + _sum(np.abs(col - ws), axis=1), col
 
 
 def _rows(idx: np.ndarray, n: int):
@@ -619,7 +656,8 @@ def _newton_stage(C, wl, ws, log_ws, eps, tol, g, limit, ridge, near=False):
 
     A cost that has stopped keeps its state while the others go on, and each
     numpy call works on the costs still going, so every result is bitwise
-    that of its cost solved alone. Returns ``(g, f, plan, steps, stalled)``.
+    that of its cost solved alone. Returns ``(g, f, plan, steps, stalled,
+    err)``, ``err`` the plans' marginal residuals.
     """
     # C / -eps is -C / eps bitwise: division rounds the magnitude alone
     kernel = C / -eps[:, None, None]
@@ -647,7 +685,7 @@ def _newton_stage(C, wl, ws, log_ws, eps, tol, g, limit, ridge, near=False):
         d = np.zeros((m, k))
         d[:, :-1] = E[:, None] * np.linalg.solve(hess[:, :-1, :-1] + ridge,
                                                  grad[:, :-1, None])[:, :, 0]
-        shrink = _STEP_CAP * E / np.abs(d).max(axis=1)
+        shrink = _STEP_CAP * E / _max(np.abs(d), axis=1)
         if near:
             capped = shrink < 1.0
             if np.count_nonzero(capped):
@@ -697,24 +735,26 @@ def _newton_stage(C, wl, ws, log_ws, eps, tol, g, limit, ridge, near=False):
                 trying, t = trying[~low], t[~low]
             if trying.size == 0:
                 break
-    return g, f, plan, steps, limit < 0
+    return g, f, plan, steps, limit < 0, err
 
 
-def _entropic(w, wp, C, eps, max_iter, tol, init_potentials):
-    """The body of :func:`entropic_ot_stack` on checked inputs."""
+def _entropic(w, wp, C, eps, max_iter, tol, warm):
+    """The body of :func:`entropic_ot_stack` on checked inputs; ``warm`` is
+    None or the warm potentials as :func:`_check_potentials` stacks them."""
     flip = C.shape[1] < C.shape[2]
     # rows of each Cl are the long side, columns (potential g) the short side;
     # Cl is C-contiguous, so every slice of it has one memory layout
     wl, ws = (wp, w) if flip else (w, wp)
     Cl = np.ascontiguousarray(C.transpose(0, 2, 1) if flip else C)
     R, nl, ns = Cl.shape
-    spread = Cl.max(axis=(1, 2)) - Cl.min(axis=(1, 2))
+    spread = _max(Cl, axis=(1, 2)) - _min(Cl, axis=(1, 2))
     # keeps the solve defined where the plan saturates (each row on a single
     # column) and the Hessian vanishes; the capped step then follows the gradient
     ridge = 1e-12 * np.eye(ns - 1)
     g = np.zeros((R, ns))
     f = np.empty((R, nl))
     plan = np.empty((R, nl, ns))
+    err = np.empty(R)
     steps = np.zeros(R, dtype=np.int64)
     log_ws = np.log(ws)
     # a side of size 1 and a constant cost have closed-form plans
@@ -724,45 +764,50 @@ def _entropic(w, wp, C, eps, max_iter, tol, init_potentials):
         at = np.flatnonzero(closed)
         f[at] = _semi_dual(Cl[at] / -eps, wl, log_ws, g[at], np.full(at.size, eps))[0]
         plan[at] = np.outer(wl, ws)
+        err[at] = _residuals(plan[at], wl, ws)[0]
 
     def stage(rows, eps_rows, tol_rows, g_rows, near=False):
         # one Newton stage of the costs ``rows``; the whole stack (a slice)
         # takes the stage's arrays as they are, a part is written back
-        g_, f_, plan_, taken, stalled = _newton_stage(
+        g_, f_, plan_, taken, stalled, err_ = _newton_stage(
             Cl[rows], wl, ws, log_ws, eps_rows, tol_rows, g_rows, max_iter - steps[rows],
             ridge, near=near)
-        nonlocal g, f, plan
+        nonlocal g, f, plan, err
         if isinstance(rows, slice):
-            g, f, plan = g_, f_, plan_
+            g, f, plan, err = g_, f_, plan_, err_
         else:
-            g[rows], f[rows], plan[rows] = g_, f_, plan_
+            g[rows], f[rows], plan[rows], err[rows] = g_, f_, plan_, err_
         steps[rows] += taken
-        return stalled
+        return stalled, taken
 
-    if init_potentials is not None and solve.size:
-        g0 = np.array([init_potentials[r][0 if flip else 1] for r in solve], dtype=np.float64)
+    if warm is not None and solve.size:
+        g0 = warm[solve, :w.size] if flip else warm[solve, w.size:]
         stalled = stage(_rows(solve, R), np.full(solve.size, eps), np.full(solve.size, tol),
-                        g0 - g0[:, -1:], near=True)
+                        g0 - g0[:, -1:], near=True)[0]
         solve = solve[stalled]
         g[solve] = 0.0
     # eps-continuation: each cost descends its own ladder from its spread by
-    # _STAGE_FACTOR to eps; stage k of every cost runs in the same call
+    # _STAGE_FACTOR to eps; stage k of every cost runs in the same call. A
+    # stage above eps that takes no step goes straight to eps
     stage_eps = spread[solve]
     while solve.size:
         rows = _rows(solve, R)
         above = stage_eps > eps
-        stage(rows, np.where(above, stage_eps, eps), np.where(above, max(tol, _STAGE_TOL), tol),
-              g[rows])
-        solve, stage_eps = solve[above], stage_eps[above] / _STAGE_FACTOR
+        taken = stage(rows, np.where(above, stage_eps, eps),
+                      np.where(above, max(tol, _STAGE_TOL), tol), g[rows])[1]
+        solve, stage_eps = solve[above], np.where(taken[above] == 0, eps,
+                                                  stage_eps[above] / _STAGE_FACTOR)
     if flip:
-        f, g, plan = g, f, plan.transpose(0, 2, 1)
-    plan = np.ascontiguousarray(plan)
-    err = _residuals(plan, w, wp)[0]
-    cost = (C * plan).sum(axis=(1, 2))
+        # the residuals of the stages summed the long side in another order
+        f, g = g, f
+        plan = np.ascontiguousarray(plan.transpose(0, 2, 1))
+        err = _residuals(plan, w, wp)[0]
+    _check_finite(plan)
+    cost = _sum(C * plan, axis=(1, 2)).tolist()
+    err, steps = err.tolist(), steps.tolist()
     # each result owns its plan, so that none keeps the whole stack alive
-    return [OtResult(plan[r] if R == 1 else plan[r].copy(), w, wp, float(cost[r]),
-                     iterations=int(steps[r]), converged=bool(err[r] <= tol), kind="entropic",
-                     marginal_error=float(err[r]), potentials=(f[r], g[r]))
+    return [_result(plan[r] if R == 1 else plan[r].copy(), w, wp, cost[r], steps[r],
+                    bool(err[r] <= tol), "entropic", err[r], (f[r], g[r]))
             for r in range(R)]
 
 
@@ -795,7 +840,8 @@ def entropic_ot(
     ``O(n m min(n, m))``; steps use an Armijo line search and are capped at a
     few ``eps`` in sup-norm. Cold starts run eps-continuation: eps starts at
     ``max(C) - min(C)`` and falls 4x per stage down to ``eps``, carrying the
-    potential across stages. Warm potentials are tried at ``eps`` first; the
+    potential across stages; a stage that takes no step is followed by the
+    stage at ``eps`` itself. Warm potentials are tried at ``eps`` first; the
     continuation takes over if the line search stalls or a step has to be
     capped, since a warm start that far off takes more capped steps than the
     continuation takes stages. A side of size 1 and a constant cost have
@@ -812,8 +858,7 @@ def entropic_ot(
     """
     w, wp, C = _check_inputs(w, wp, C)
     _check_entropic(eps, max_iter, tol, "entropic_ot")
-    warm = None if init_potentials is None else [init_potentials]
-    _check_potentials(warm, w, wp)
+    warm = _check_potentials(None if init_potentials is None else [init_potentials], w, wp)
     return _entropic(w, wp, C[None], eps, max_iter, tol, warm)[0]
 
 
@@ -845,9 +890,8 @@ def entropic_ot_stack(
     if not np.isfinite(C).all():
         raise DomainError("cost: entries must be finite (no NaN/Inf)")
     _check_entropic(eps, max_iter, tol, "entropic_ot_stack")
-    if init_potentials is not None:
-        if len(init_potentials) != len(C):
-            raise DimensionError(f"{len(init_potentials)} warm potential pairs for "
-                                 f"{len(C)} costs")
-        _check_potentials(init_potentials, w, wp)
-    return _entropic(w, wp, C, eps, max_iter, tol, init_potentials)
+    if init_potentials is not None and len(init_potentials) != len(C):
+        raise DimensionError(f"{len(init_potentials)} warm potential pairs for "
+                             f"{len(C)} costs")
+    warm = _check_potentials(init_potentials, w, wp)
+    return _entropic(w, wp, C, eps, max_iter, tol, warm)

@@ -145,3 +145,56 @@ def test_gw_coot_equivalence_property_holds_at_every_scale(n, d, d2, scale_exp, 
     assert report["coot_leq_gw"], report
     assert report["values_equal"], report
     assert report["tied_pair_attains_coot"], report
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(shape=st.tuples(*[st.integers(1, 7)] * 4), loss_name=st.sampled_from(["sq", "abs"]),
+       weighted=st.booleans(), restarts=st.integers(1, 3), scale_exp=st.floats(-2, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_exact_solve_property_traces_never_increase(shape, loss_name, weighted, restarts,
+                                                    scale_exp, seed):
+    """With exact inner solves each half-step can only lower the objective, so
+    the returned trace never rises by more than the LP certificate's 1e-9
+    relative slack, on generated shapes (one row or column included),
+    weights, losses and data scales."""
+    n, d, n2, d2 = shape
+    rng = np.random.default_rng(seed)
+    scale = 10.0**scale_exp
+    X, X2 = scale * rng.random((n, d)), scale * rng.random((n2, d2))
+    weights = {}
+    if weighted:
+        weights = dict(w=_random_weights(rng, n), wp=_random_weights(rng, n2),
+                       v=_random_weights(rng, d), vp=_random_weights(rng, d2))
+    sol = solve_coot(CootProblem(X, X2, loss=LOSSES[loss_name], **weights),
+                     restarts=restarts, seed=seed)
+    trace = sol.objective_trace
+    slack = 1e-9 * max(abs(t) for t in trace)
+    assert all(later <= earlier + slack for earlier, later in zip(trace, trace[1:]))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(shape=st.tuples(*[st.integers(1, 6)] * 4),
+       eps=st.tuples(*[st.sampled_from([0.0, 0.05])] * 2),
+       weighted=st.booleans(), loss_name=st.sampled_from(["sq", "abs"]),
+       restarts=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_converged_solve_property_returns_feasible_couplings(shape, eps, weighted, loss_name,
+                                                             restarts, seed):
+    """Whenever a solve reports ``converged``, each returned coupling is
+    nonnegative and on its marginals in L1 within its side's stated
+    tolerance: 1e-9 for an exact side, ``sinkhorn_tol`` for an entropic
+    one, on generated non-square shapes, weights and mixed sides."""
+    n, d, n2, d2 = shape
+    rng = np.random.default_rng(seed)
+    X, X2 = rng.random((n, d)), rng.random((n2, d2))
+    weights = {}
+    if weighted:
+        weights = dict(w=_random_weights(rng, n), wp=_random_weights(rng, n2),
+                       v=_random_weights(rng, d), vp=_random_weights(rng, d2))
+    problem = CootProblem(X, X2, loss=LOSSES[loss_name], eps_samples=eps[0],
+                          eps_features=eps[1], **weights)
+    sol = solve_coot(problem, restarts=restarts, seed=seed)
+    if sol.converged:
+        for coupling, side_eps in ((sol.sample_coupling, eps[0]), (sol.feature_coupling, eps[1])):
+            tol = problem.sinkhorn_tol if side_eps > 0 else 1e-9
+            assert coupling.plan.min() >= 0
+            assert coupling.marginal_error() <= tol
