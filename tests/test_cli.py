@@ -1,6 +1,9 @@
 """End-to-end tests of the command line: artifacts, reports, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -87,6 +90,31 @@ def test_coot_determinism_across_runs_and_jobs(tmp_path, small_pair):
         assert (out / "pi_v.csv").read_bytes() == ref_v
     costs = {read_report(out)["cost"] for out in outs}
     assert len(costs) == 1
+
+
+@pytest.mark.parametrize("eps", ["0", "0.05"])
+def test_coot_csvs_are_byte_identical_across_jobs_in_fresh_processes(tmp_path, eps):
+    """Two fresh ``coopt coot`` processes with BLAS pinned to one thread, at
+    ``--jobs 1`` and ``--jobs 2``, write the same CSV bytes: exact sides
+    (threads pull one restart at a time) and entropic ones (threads run
+    shares of the lockstep stack)."""
+    rng = np.random.default_rng(96)
+    x, y = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_matrix_csv(x, rng.random((20, 12)))
+    write_matrix_csv(y, rng.random((15, 7)))
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    blobs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        proc = subprocess.run([sys.executable, "-m", "coopt.cli", "coot", "--x", str(x),
+                               "--y", str(y), "--eps1", eps, "--eps2", eps, "--seed", "4",
+                               "--restarts", "4", "--jobs", jobs, "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        blobs.append([(out / name).read_bytes() for name in ("pi_s.csv", "pi_v.csv")])
+    assert blobs[0] == blobs[1]
 
 
 def test_report_rerun_reproduces_cost(tmp_path, small_pair):
