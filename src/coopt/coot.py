@@ -21,18 +21,16 @@ then seeded heavy-tailed perturbations of the product coupling projected
 back onto the polytope. The best restart (lowest cost, then lowest restart
 index) is returned.
 
-With ``jobs=1`` the restarts advance in lockstep, as one ``(R, ...)`` stack:
-each half-step contracts all running restarts' couplings in one call, an
-entropic side solves them in one :func:`~coopt.ot.entropic_ot_stack` call,
-and an exact side solves their LPs one after another. A restart that has
-converged drops out, keeping only its plans; every solver returns plans
-that own their memory, so none pins a stack. The driver reads each inner
-result's plan alone: the two couplings of each returned solution are the
-only :class:`~coopt.core.Coupling` objects a solve builds. With ``jobs >
-1``, threads run contiguous shares of the restarts as stacks when every
-side solved is entropic, and otherwise pull one restart at a time. Each
-restart is bitwise what it gives solved alone, so results do not depend on
-``jobs``.
+The restarts are cut into shares (see :func:`_best_restart`), and each share
+advances in lockstep, as one ``(R, ...)`` stack: each half-step contracts
+all running restarts' couplings in one call, an entropic side solves them in
+one :func:`~coopt.ot.entropic_ot_stack` call, and an exact side solves their
+LPs one after another. A restart that has converged drops out, keeping only
+its plans; every solver returns plans that own their memory, so none pins a
+stack. The driver reads each inner result's plan alone: the two couplings of
+each returned solution are the only :class:`~coopt.core.Coupling` objects a
+solve builds. Each restart is bitwise what it gives solved alone, so results
+do not depend on ``jobs``.
 
 :func:`bap_oracle` enumerates all row/column permutation pairs, which is the
 exact optimum for uniform square instances since an optimal pair of vertices
@@ -59,7 +57,7 @@ from .core import (
     check_integer,
     uniform_histogram,
 )
-from .ot import OtResult, entropic_ot, entropic_ot_stack, exact_ot  # noqa: F401
+from .ot import OtResult, entropic_ot_stack, exact_ot
 from .ot import sinkhorn  # noqa: F401 -- wrapped by name in bench/spans.py
 from .tensorcost import PreparedContraction, Side
 from .tensorcost import contract, coot_objective  # noqa: F401 -- wrapped by name in bench/spans.py
@@ -254,15 +252,13 @@ def _starts(problem: CootProblem, restarts: int, seed: int, tied: bool) -> list:
 _REUSE_RTOL = 2.0**-40
 
 
-def _inner_ot(w, wp, cost, eps, problem: CootProblem, prev, current=None) -> OtResult:
-    """One side's inner solve for one restart; ``prev`` is that side's
+def _inner_ot(w, wp, cost, prev, current=None) -> OtResult:
+    """One exact side's inner solve for one restart; ``prev`` is that side's
     previous ``(cost, result)`` pair, or None, and ``current`` the plan that
     priced ``cost`` when the step may take :func:`~coopt.ot.exact_ot`'s
     assignment path (a tied exact step), or None.
 
-    An entropic side is a one-cost :func:`~coopt.ot.entropic_ot_stack` call,
-    warm from the previous potentials. An exact side
-    returns the previous result itself when ``max|cost - prev cost| <=
+    It returns the previous result itself when ``max|cost - prev cost| <=
     2**-40 max|cost|``: the cost moved only by rounding, as in the last
     iteration of a converged solve, where the couplings repeat and the LP
     would only confirm its previous plan. That plan is within ``2 max|cost -
@@ -272,10 +268,6 @@ def _inner_ot(w, wp, cost, eps, problem: CootProblem, prev, current=None) -> OtR
     shortlist LP (above 3,000 cells) reads: they pick its first cells, and
     the plan is certified as a cold one is.
     """
-    if eps > 0:
-        return entropic_ot_stack(w, wp, cost[None], eps, max_iter=problem.sinkhorn_max_iter,
-                                 tol=problem.sinkhorn_tol,
-                                 init_potentials=None if prev is None else [prev[1].potentials])[0]
     if prev is not None and np.abs(cost - prev[0]).max() <= _REUSE_RTOL * np.abs(cost).max():
         return prev[1]
     # positional, so that a stand-in taking ``*args`` sees the warm start too
@@ -362,7 +354,7 @@ def _solve_stack(problem: CootProblem, starts: Sequence, tied: bool = False,
         else:
             # a tied restart offers its current plan, and so the assignment path,
             # until a step repeats that plan's support and the LP solves it
-            results = [_inner_ot(*marginals, c, eps, problem, prev[r], plans[r] if tied and
+            results = [_inner_ot(*marginals, c, prev[r], plans[r] if tied and
                                  (prev[r] is None or prev[r][1].kind == "assignment") else None)
                        for r, c in zip(active, costs)]
         for r, c, res in zip(active, costs, results):
@@ -375,7 +367,7 @@ def _solve_stack(problem: CootProblem, starts: Sequence, tied: bool = False,
         # re-solves that cost cold, so that it returns the LP's plan
         last = prev_s[r]
         if last is not None and last[1].kind == "assignment":
-            res = _inner_ot(w, wp, last[0], 0.0, problem, None)
+            res = _inner_ot(w, wp, last[0], None)
             ps[r] = res.plan
             inner_ok[r] = inner_ok[r] and res.converged
             cost = contraction.contract(res.plan[None], Side.SAMPLE)[0]
@@ -433,12 +425,13 @@ def _best_restart(problem: CootProblem, restarts: int, seed: int,
     if ``tied`` with equal sides and ``restarts > 1``, an identity-biased
     plan; then :func:`random_coupling` seeded ``(seed, r)``, r = 1, 2, ...
 
-    With ``jobs == 1`` all restarts run as one lockstep stack
-    (:func:`_solve_stack`). With more, ``jobs`` threads share them: if every
-    side solved is entropic, each thread runs one contiguous share as a
-    stack; if a side is exact, each thread pulls one restart at a time, so
-    restarts overlap in the LP solver, which runs outside the interpreter
-    lock.
+    The restarts are cut into shares, contiguous slices of the starts, and
+    each share is one lockstep stack (:func:`_solve_stack`). At ``jobs ==
+    1``, or with one restart, there is one share, solved on the calling
+    thread. At ``jobs > 1``, ``min(jobs, restarts)`` threads solve as many
+    near-equal shares if every side solved is entropic, and otherwise pull
+    one restart at a time, in order, so restarts overlap in the LP solver,
+    which runs outside the interpreter lock.
     """
     check_integer(restarts=restarts, seed=seed, jobs=jobs)
     if restarts < 1:
@@ -448,20 +441,18 @@ def _best_restart(problem: CootProblem, restarts: int, seed: int,
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
     starts = _starts(problem, restarts, seed, tied)
-    entropic = problem.eps_samples > 0 and (tied or problem.eps_features > 0)
-    if jobs == 1 or len(starts) == 1:
-        solutions = _solve_stack(problem, starts, tied)
-    elif entropic:
-        parts = min(jobs, len(starts))
-        cuts = [len(starts) * k // parts for k in range(parts + 1)]
-        with ThreadPoolExecutor(max_workers=parts) as pool:
-            shares = pool.map(lambda lo, hi: _solve_stack(problem, starts[lo:hi], tied, lo),
-                              cuts[:-1], cuts[1:])
-            solutions = [sol for share in shares for sol in share]
+    threads = min(jobs, len(starts))
+    if threads == 1:
+        cuts = [0, len(starts)]
+    elif problem.eps_samples > 0 and (tied or problem.eps_features > 0):
+        cuts = [len(starts) * k // threads for k in range(threads + 1)]
     else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            solutions = list(pool.map(lambda r: _solve_single(problem, starts[r], r, tied),
-                                      range(len(starts))))
+        cuts = range(len(starts) + 1)
+    # one share runs on the calling thread, which keeps its cached HiGHS models
+    with ThreadPoolExecutor(threads) as pool:
+        shares = (map if threads == 1 else pool.map)(
+            lambda lo, hi: _solve_stack(problem, starts[lo:hi], tied, lo), cuts[:-1], cuts[1:])
+        solutions = [sol for share in shares for sol in share]
     return min(solutions, key=lambda s: (s.cost, s.restart_index))
 
 

@@ -8,6 +8,7 @@ bit-exactly; identical inputs therefore produce byte-identical artifacts.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional
@@ -27,6 +28,7 @@ __all__ = [
 ]
 
 _FMT = "%.17g"
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _read_lines(path, parse, what: str, kind: str) -> list:
@@ -109,7 +111,9 @@ class RunReport:
     """Machine-readable record of one CLI run.
 
     Re-running the echoed command with the same seed reproduces the cost
-    field to 1e-12 (artifacts are byte-identical).
+    field to 1e-12 (artifacts are byte-identical). The ``blas`` entry names
+    numpy's BLAS library and echoes the BLAS thread variables (null when
+    unset), which can change the bytes of entropic plans.
     """
 
     command: str
@@ -123,6 +127,7 @@ class RunReport:
     extra: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         payload = {
             "command": self.command,
             "seed": self.seed,
@@ -132,6 +137,8 @@ class RunReport:
             "wallMillis": self.wall_millis,
             "outputs": self.outputs,
             "config": self.config,
+            "blas": {"name": blas.get("name"), "version": blas.get("version"),
+                     **{var: os.environ.get(var) for var in _BLAS_THREADS}},
         }
         payload.update(self.extra)
         return json.dumps(payload, indent=2, sort_keys=False) + "\n"

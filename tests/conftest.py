@@ -39,11 +39,10 @@ def exact_calls(monkeypatch):
     calls = []
     solve = coopt.coot._inner_ot
 
-    def record(w, wp, cost, eps, problem, prev, *args):
-        result = solve(w, wp, cost, eps, problem, prev, *args)
-        if eps == 0:
-            reused = prev is not None and result is prev[1]
-            calls.append(ExactCall("reused" if reused else result.kind, cost, result))
+    def record(w, wp, cost, prev, *args):
+        result = solve(w, wp, cost, prev, *args)
+        reused = prev is not None and result is prev[1]
+        calls.append(ExactCall("reused" if reused else result.kind, cost, result))
         return result
 
     monkeypatch.setattr(coopt.coot, "_inner_ot", record)

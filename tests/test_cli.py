@@ -54,6 +54,23 @@ def test_coot_writes_expected_artifacts(tmp_path, small_pair):
     assert report["converged"] is True
 
 
+def test_report_names_the_blas_library_and_echoes_its_thread_settings(
+        tmp_path, small_pair, monkeypatch):
+    """Two reports show why their plans' bytes may differ: numpy's BLAS
+    library and version, and each BLAS thread variable, null when unset."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    x, y = small_pair
+    assert run(["coot", "--x", x, "--y", y, "--seed", "1", "--out", tmp_path]) == 0
+    blas = read_report(tmp_path)["blas"]
+    built = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert blas == {"name": built["name"], "version": built["version"],
+                    "OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "1",
+                    "MKL_NUM_THREADS": None}
+    assert isinstance(blas["name"], str) and blas["name"]
+
+
 def test_coot_roundtrip_coupling_is_feasible(tmp_path, small_pair):
     x, y = small_pair
     out = tmp_path / "run2"

@@ -411,23 +411,19 @@ def test_exact_side_reuse_keeps_the_plan_of_a_fresh_solve(name, monkeypatch):
 @pytest.mark.parametrize("moved, reused", [(2.0**-45, True), (1e-9, False)])
 def test_exact_side_reuse_bound(moved, reused, monkeypatch):
     """A cost moved by 2**-45 max|C| keeps the previous result; one moved by
-    1e-9 max|C| is solved again. The entropic side never reuses."""
+    1e-9 max|C| is solved again."""
     rng = np.random.default_rng(58)
     w, wp = _weights(rng, 6), _weights(rng, 4)
     C = 3.0 * rng.random((6, 4))
-    problem = CootProblem(rng.random((6, 2)), rng.random((4, 2)), w=w, wp=wp)
     prev = C, coot.exact_ot(w, wp, C)
     solved = []
     monkeypatch.setattr(coot, "exact_ot", lambda *args: solved.append(args) or "solved")
     C2 = C.copy()
     C2[np.unravel_index(np.argmax(C), C.shape)] += moved * C.max()
     assert (C2 != C).any()
-    got = coot._inner_ot(w, wp, C2, 0.0, problem, prev)
+    got = coot._inner_ot(w, wp, C2, prev)
     assert (got is prev[1]) == reused
     assert len(solved) == (0 if reused else 1)
-    warm = C, coot.entropic_ot(w, wp, C, 0.1)
-    entropic = coot._inner_ot(w, wp, C, 0.1, problem, warm)
-    assert entropic is not warm[1] and entropic.converged
 
 
 def test_solvers_reject_a_negative_seed():

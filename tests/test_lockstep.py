@@ -9,6 +9,7 @@ size; tolerance checks against stabilized Sinkhorn cover the entropic body.
 """
 
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -133,6 +134,49 @@ def test_lockstep_restarts_equal_each_restart_solved_alone(name):
     for jobs in (1, 2, 3):
         best = coot._best_restart(problem, restarts, 5, jobs=jobs, tied=tied)
         assert _signature(best) == _signature(winner)
+
+
+def _singles(count):
+    return [(r, 1, False) for r in range(count)]
+
+
+# (eps_samples, eps_features, restarts, {jobs: shares}); a share is recorded
+# as (first restart index, restarts in it, solved on the main thread)
+SHARES = {
+    "entropic": (0.05, 0.05, 5, {1: [(0, 5, True)], 2: [(0, 2, False), (2, 3, False)],
+                                 3: [(0, 1, False), (1, 2, False), (3, 2, False)]}),
+    "exact": (0.0, 0.0, 5, {1: [(0, 5, True)], 2: _singles(5)}),
+    "mixed": (0.05, 0.0, 5, {1: [(0, 5, True)], 2: _singles(5)}),
+    "one-restart": (0.05, 0.0, 1, {1: [(0, 1, True)], 3: [(0, 1, True)]}),
+}
+
+
+@pytest.mark.parametrize("name", SHARES)
+def test_best_restart_solves_each_share_as_one_stack(name, monkeypatch):
+    """``_best_restart`` cuts the restarts into contiguous shares, each one
+    ``_solve_stack`` call: one share on the calling thread at ``jobs=1`` or
+    with one restart; at ``jobs > 1``, ``min(jobs, R)`` near-equal shares
+    when every side is entropic, and one restart per share otherwise. The
+    winner is the same at every ``jobs``."""
+    eps_samples, eps_features, restarts, shares = SHARES[name]
+    rng = np.random.default_rng(67)
+    problem = CootProblem(rng.random((6, 4)), rng.random((5, 3)),
+                          eps_samples=eps_samples, eps_features=eps_features)
+    calls = []
+    solve = coot._solve_stack
+
+    def record(problem, starts, tied=False, first_index=0):
+        calls.append((first_index, len(starts),
+                      threading.current_thread() is threading.main_thread()))
+        return solve(problem, starts, tied, first_index)
+
+    monkeypatch.setattr(coot, "_solve_stack", record)
+    winners = set()
+    for jobs, expected in shares.items():
+        calls.clear()
+        winners.add(_signature(coot._best_restart(problem, restarts, 3, jobs=jobs)))
+        assert sorted(calls) == expected, jobs
+    assert len(winners) == 1
 
 
 def test_lockstep_with_warm_tries_stalling_for_some_restarts(monkeypatch):
