@@ -313,7 +313,11 @@ def one_hot_labels(labels, num_classes: Optional[int] = None) -> np.ndarray:
         raise DomainError("at least one class is required")
     if labels.max() >= k:
         raise DomainError(f"label {labels.max()} out of range for {k} classes")
-    out = np.zeros((labels.size, k))
+    try:
+        out = np.zeros((labels.size, k))
+    except (MemoryError, ValueError):  # numpy's failed allocation, or its size overflow
+        raise DomainError(f"label {labels.max()} needs a one-hot matrix of {labels.size} rows "
+                          f"and {k} classes, too large to allocate") from None
     mask = labels >= 0
     out[np.nonzero(mask)[0], labels[mask]] = 1.0
     return out

@@ -190,8 +190,7 @@ def _finish(args, started: float, cost, iterations: int, converged: bool,
     millis = (time.perf_counter() - started) * 1000.0
     report = RunReport(args.command, args.seed, cost, iterations, converged, millis,
                        outputs, _echo_config(args), extra or {})
-    report.write(args.out / "report.json")
-    print(report.to_json(), end="")
+    print(report.write(args.out / "report.json"), end="")
     if converged or getattr(args, "allow_maxiter", False):
         return EXIT_OK
     return EXIT_NOT_CONVERGED
@@ -288,10 +287,15 @@ def cmd_election(args) -> dict:
 
 
 def cmd_gen(args) -> dict:
+    required = {"--n": args.n, "--d": args.d, "-g": args.g, "-m": args.m}
     if args.preset is not None:
+        given = [k for k, val in required.items() if val is not None]
+        given += ["--unequal"] if args.unequal else []
+        if given:
+            raise DomainError(f"gen --preset {args.preset} sets the sizes and proportions; "
+                              f"drop {given}")
         config = apps.BLOCK_PRESETS[args.preset]
     else:
-        required = {"--n": args.n, "--d": args.d, "-g": args.g, "-m": args.m}
         missing = [k for k, val in required.items() if val is None]
         if missing:
             raise DomainError(f"gen needs --preset or all of {sorted(required)}; "

@@ -143,5 +143,8 @@ class RunReport:
         payload.update(self.extra)
         return json.dumps(payload, indent=2, sort_keys=False) + "\n"
 
-    def write(self, path) -> None:
-        Path(path).write_text(self.to_json(), encoding="ascii")
+    def write(self, path) -> str:
+        """Write the report's JSON to ``path``; return the text written."""
+        text = self.to_json()
+        Path(path).write_text(text, encoding="ascii")
+        return text

@@ -3,10 +3,9 @@
 Three entry points solve ``min <C, pi>`` over the transport polytope
 ``Pi(w, w')``:
 
-* :func:`exact_ot`: LP-exact; the returned plan is a vertex of the polytope,
-  certified optimal to ``1e-9 max|C|`` in reduced cost. Given the current
-  plan of an alternation, a uniform non-square step that moves is solved
-  as an assignment on the lcm expansion instead.
+* :func:`exact_ot`: LP-exact; the returned plan is a vertex of the polytope
+  (an LP basis, or a permutation on uniform square marginals), certified
+  optimal to ``1e-9 max|C|`` in reduced cost.
 * :func:`sinkhorn`: entropic smoothing with strength ``eps``, run entirely in
   the log domain so large ``C/eps`` ratios never surface as NaN or overflow.
 * :func:`entropic_ot`: the same entropic problem by Newton's method on the
@@ -37,7 +36,6 @@ If a scipy release moves either file, ``import coopt`` raises an
 from __future__ import annotations
 
 import importlib.util
-import math
 import os
 import sys
 import threading
@@ -110,9 +108,10 @@ class OtResult:
     ``max|C|`` (see :func:`exact_ot`); the other results report 0. An LP
     result is ``converged`` when its certificate is >= -1e-9 and its
     ``marginal_error`` <= 1e-9. ``kind`` names the solver that made the
-    plan: ``"lp"`` (HiGHS, full or shortlist), ``"hungarian"``,
-    ``"assignment"`` (the lcm expansion of :func:`exact_ot`) or
-    ``"entropic"``.
+    plan: ``"lp"`` (HiGHS, full or shortlist) or ``"hungarian"``, the two
+    kinds :func:`exact_ot` returns, each plan a vertex; ``"entropic"``; or
+    ``"assignment"``, a tied step of :mod:`coopt.coot`'s driver solved on the
+    lcm expansion, which need not be a vertex.
     ``plan``, on the call's weights ``row_marginal`` and ``col_marginal``, is
     finite: the constructor checks it, and the solvers check an entropic
     stack's plans at once or build finite ones. ``coupling`` checks the three
@@ -189,35 +188,6 @@ def _check_potentials(pairs, w, wp):
 
 def _is_uniform_square(w: np.ndarray, wp: np.ndarray) -> bool:
     return w.size == wp.size and (w == w[0]).all() and (wp == w[0]).all()
-
-
-# A uniform non-square step with a current plan is solved as an assignment
-# on the lcm(n, m) expansion when lcm(n, m) <= _ASSIGNMENT_LCM. On GW costs of
-# random 2-D clouds, first step from a seeded start / later steps, against a
-# cold exact_ot (2 vCPU, one BLAS thread): 40x30 (L = 120) 1.2 / 0.85 ms
-# against 6.4 / 2.7 ms; 50x40 (200) 4.1 / 1.4 against 8.5 / 2.3; 80x60 (240)
-# 8.9 / 3.2 against 16.1 / 3.1; 45x40 (360) 29 / 5.3 against 9.3 / 2.2.
-_ASSIGNMENT_LCM = 240
-
-
-def _assignment(w: np.ndarray, wp: np.ndarray, C: np.ndarray) -> Optional[np.ndarray]:
-    """An optimal plan of the uniform non-square LP on ``C``, or None when the
-    marginals are not uniform, the problem is square, or lcm(n, m) exceeds
-    ``_ASSIGNMENT_LCM``.
-
-    Row ``i`` of ``C`` is repeated ``L / n`` times and column ``j`` ``L / m``
-    times, with ``L = lcm(n, m)``; an optimal assignment on that ``L x L``
-    cost (Crouse, IEEE TAES 2016) gives the plan ``count_ij / L``. The
-    transport polytope is integral, so the two problems have the same
-    optimum, but under ties the plan need not be a vertex.
-    """
-    n, m = C.shape
-    L = math.lcm(n, m)
-    if n == m or L > _ASSIGNMENT_LCM or (w != w[0]).any() or (wp != wp[0]).any():
-        return None
-    a, b = L // n, L // m
-    rows, cols = linear_sum_assignment(np.repeat(np.repeat(C, a, axis=0), b, axis=1))
-    return np.bincount(rows // a * m + cols // b, minlength=n * m).reshape(n, m) / L
 
 
 # Per-thread HiGHS models of the full transport LP, keyed by the marginals'
@@ -431,8 +401,7 @@ def _shortlist_lp(w: np.ndarray, wp: np.ndarray, C: np.ndarray, potentials):
 
 
 def exact_ot(w, wp, C,
-             init_potentials: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-             current: Optional[np.ndarray] = None) -> OtResult:
+             init_potentials: Optional[Tuple[np.ndarray, np.ndarray]] = None) -> OtResult:
     """Solve the transport LP exactly.
 
     Uniform square instances dispatch to the Hungarian algorithm (the optimal
@@ -464,17 +433,6 @@ def exact_ot(w, wp, C,
     stays ``linprog``'s; so does the Hungarian path, whose results carry
     None.
 
-    ``current`` is the plan that priced ``C`` in an alternation (the tied
-    GW step of :mod:`coopt.coot`). With it, uniform non-square marginals
-    with ``lcm(n, m) <= 240`` are solved as one assignment problem on the
-    lcm expansion (:func:`_assignment`) when that plan's support differs
-    from ``current``'s: the step moves, so its plan is neither returned nor
-    kept, and HiGHS is skipped. Its result has ``kind="assignment"``, the
-    plan ``count / lcm(n, m)``, no potentials, and is optimal and converged
-    as a Hungarian result is. When the support repeats, the step is the
-    fixed point and the cold LP solves it, so the plan that ends the
-    alternation is ``linprog``'s.
-
     ``certificate`` is the minimum reduced cost ``C_ij - u_i - v_j`` over all
     cells, computed from the row duals, divided by ``max|C|`` (by 1 when
     ``C`` is all zero); the plan is optimal when it is >= 0. HiGHS's own
@@ -487,23 +445,14 @@ def exact_ot(w, wp, C,
     w, wp, C = _check_inputs(w, wp, C)
     if init_potentials is not None:
         _check_potentials([init_potentials], w, wp)
-    if current is not None and np.shape(current) != C.shape:
-        raise DimensionError(f"current plan shape {np.shape(current)} does not match "
-                             f"cost {C.shape}")
     n, m = C.shape
-    # every plan below is finite by construction: a permutation, an
-    # assignment count or HiGHS's optimal values
+    # every plan below is finite by construction: a permutation or HiGHS's
+    # optimal values
     if _is_uniform_square(w, wp):
         rows, cols = linear_sum_assignment(C)
         plan = np.zeros((n, m))
         plan[rows, cols] = w[0]
         return _result(plan, w, wp, float(_sum(C * plan, axis=None)), 1, True, "hungarian")
-    if current is not None:
-        plan = _assignment(w, wp, C)
-        if plan is not None and not np.array_equal(plan > 0, np.asarray(current) > 0):
-            return _result(plan, w, wp, float(_sum(C * plan, axis=None)), 1, True,
-                           "assignment")
-
     if n * m > _SHORTLIST_CELLS:
         x, nit, certificate, potentials = _shortlist_lp(w, wp, C, init_potentials)
     else:

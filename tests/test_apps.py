@@ -315,6 +315,13 @@ def test_class_mismatch_mask_shape_check():
         class_mismatch_mask(one_hot_labels([0, 1]), one_hot_labels([2]))
 
 
+def test_a_label_too_large_for_its_one_hot_matrix_is_a_domain_error():
+    """numpy cannot size a one-hot matrix of 2**62 + 1 columns on any
+    machine; the error names the largest label and the class count."""
+    with pytest.raises(DomainError, match=f"label {2**62} .* {2**62 + 1} classes"):
+        one_hot_labels([0, 2**62, 1])
+
+
 def test_label_matrix_validation():
     from coopt import as_label_matrix
 

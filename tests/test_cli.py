@@ -523,6 +523,33 @@ def test_gen_without_preset_or_sizes_names_the_missing_flags(tmp_path, capsys):
     assert "missing ['--n', '--d', '-g', '-m']" in capsys.readouterr().err
 
 
+def test_gen_with_a_preset_rejects_size_flags(tmp_path, capsys):
+    """A preset fixes the sizes and proportions, so size flags beside it are
+    an error, not silently ignored."""
+    out = tmp_path / "g"
+    assert run(["gen", "--preset", "D3", "--n", "5", "--seed", "0", "--out", out]) == 3
+    assert "drop ['--n']" in capsys.readouterr().err
+    assert run(["gen", "--preset", "D3", "--d", "4", "-g", "2", "-m", "2", "--unequal",
+                "--seed", "0", "--out", out]) == 3
+    assert "drop ['--d', '-g', '-m', '--unequal']" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_hda_with_a_huge_source_label_is_a_domain_error(tmp_path, capsys):
+    xs, ys = tmp_path / "xs.csv", tmp_path / "ys.csv"
+    write_matrix_csv(xs, np.arange(6.0).reshape(3, 2))
+    write_labels_csv(ys, [0, 2**62, 1])
+    assert run(["hda", "--xs", xs, "--xt", xs, "--ys", ys, "--out", tmp_path / "hda"]) == 3
+    assert f"label {2**62} " in capsys.readouterr().err
+
+
+def test_stdout_is_the_bytes_of_report_json(tmp_path, small_pair, capsysbinary):
+    x, y = small_pair
+    out = tmp_path / "run"
+    assert run(["coot", "--x", x, "--y", y, "--seed", "0", "--out", out]) == 0
+    assert capsysbinary.readouterr().out == (out / "report.json").read_bytes()
+
+
 def test_coot_exits_4_when_an_inner_solve_does_not_converge(tmp_path):
     """At 1e8 magnitudes some abs-loss entropic calls end above their
     tolerance, so the run reports unconverged even though the outer

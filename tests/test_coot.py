@@ -381,8 +381,8 @@ def test_exact_side_reuse_keeps_the_plan_of_a_fresh_solve(name, monkeypatch):
     """An exact side whose cost repeats up to rounding reuses its previous
     result. The returned sample plan is still bitwise what a fresh
     ``exact_ot`` gives on the last sample cost, and fewer LPs run than sides
-    times iterations, except in the tied case, which runs one per
-    iteration."""
+    times iterations. The tied case never reuses: it solves one step per
+    iteration, by the LP or as an assignment, so it counts inner solves."""
     solve, sides = _reuse_case(name)
     costs, solved = [], []
     inner, exact = coot._inner_ot, coot.exact_ot
@@ -401,7 +401,7 @@ def test_exact_side_reuse_keeps_the_plan_of_a_fresh_solve(name, monkeypatch):
     ps = sol.coupling.plan if name == "gw" else sol.sample_coupling.plan
     assert sol.converged and sol.iterations >= 2
     full = sides * sol.iterations
-    assert len(solved) == full if name == "gw" else len(solved) < full
+    assert len(costs) == full if name == "gw" else len(solved) < full
     w, wp, cost = [c for c in costs if c[2].shape == ps.shape][-1]
     with ThreadPoolExecutor(1) as pool:
         fresh = pool.submit(exact, w, wp, cost).result(timeout=60)

@@ -1,9 +1,10 @@
-"""No module of the package reaches into another module's private names.
+"""No module of the package reaches into another module's private names,
+and each imports only the modules of the layers below it.
 
 Scans the source of every ``coopt`` module for ``from .m import _x`` and for
 ``m._x`` where ``m`` is another package module bound by an import. Dunder
 names are not private. The entries in ``ALLOWED`` are the known exceptions,
-each with its reason.
+each with its reason. ``LAYERS`` orders the modules.
 """
 
 import ast
@@ -74,6 +75,41 @@ def test_every_allowed_reach_in_is_still_used():
     for path in sorted(PACKAGE.glob("*.py")):
         used.update(entry[:3] for entry in _reach_ins(path))
     assert set(ALLOWED) <= used, sorted(set(ALLOWED) - used)
+
+
+# A module may import only modules of lower layers: core, then the solvers,
+# contractions and file formats on it, then the driver, then the problems
+# built on the driver, then the command line. The package's __init__, which
+# re-exports them all, is not layered.
+LAYERS = {"core": 0, "ot": 1, "tensorcost": 1, "fileio": 1, "coot": 2, "gw": 3, "apps": 3,
+          "cli": 4}
+
+
+def _imported_modules(path):
+    """The package modules a module imports, anywhere in its source."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            owner = _owner(node)
+            if owner is not None:
+                found.add(owner.split(".")[0])
+            elif (node.level == 1 and node.module is None) or (
+                    node.level == 0 and node.module == "coopt"):
+                found.update(alias.name for alias in node.names if alias.name in LAYERS)
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("coopt."))
+    return found
+
+
+def test_each_module_imports_only_lower_layers():
+    modules = {path.stem: path for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"}
+    assert set(modules) == set(LAYERS), "give every package module a layer"
+    offenders = [f"{here} (layer {LAYERS[here]}) imports {other} (layer {LAYERS[other]})"
+                 for here, path in modules.items() for other in sorted(_imported_modules(path))
+                 if LAYERS[other] >= LAYERS[here]]
+    assert not offenders, offenders
 
 
 # the one reason a module may import a name it neither uses nor exports

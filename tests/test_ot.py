@@ -568,3 +568,15 @@ def test_entropic_solvers_take_a_numpy_integer_iteration_cap():
         assert got.iterations == expected.iterations
     got = ot.entropic_ot_stack(w, wp, C[None], 0.1, max_iter=np.int32(7))[0]
     assert got.plan.tobytes() == entropic_ot(w, wp, C, 0.1, max_iter=7).plan.tobytes()
+
+
+def test_exact_ot_plans_are_vertices_on_tied_uniform_costs():
+    """Uniform non-square 0/1 costs have many optimal plans, and an
+    assignment on the lcm expansion often picks one inside a face; the plan
+    ``exact_ot`` returns is a vertex, at most n + m - 1 nonzeros."""
+    rng = np.random.default_rng(25)
+    for _ in range(60):
+        n, m = rng.choice(np.arange(2, 13), 2, replace=False)
+        C = rng.integers(0, 2, (n, m)).astype(float)
+        res = exact_ot(uniform_histogram(n), uniform_histogram(m), C)
+        assert np.count_nonzero(res.plan) <= n + m - 1, (n, m)

@@ -156,8 +156,8 @@ def test_shortlist_lp_prices_in_cells_far_from_its_first_list():
 def test_shortlist_lp_property_certified_and_no_dearer_than_full_lp(short, extra, tall, uniform,
                                                                     kind, seed):
     """Above the threshold, on both orientations, uniform and random weights
-    and degenerate costs: feasible to 1e-9, certified at -1e-9, and no dearer
-    than the full LP within 1e-12 relative. Costs of rank 2, like the
+    and degenerate costs: feasible to 1e-9, a vertex, certified at -1e-9,
+    and no dearer than the full LP within 1e-12 relative. Costs of rank 2, like the
     contractions exact COOT feeds it, take the most pricing rounds; costs at
     1e-6 scale need the power-of-two scaling of HiGHS's absolute tolerance."""
     long = max(short, ot._SHORTLIST_CELLS // short + 1) + extra
@@ -174,6 +174,7 @@ def test_shortlist_lp_property_certified_and_no_dearer_than_full_lp(short, extra
          "low-rank": lambda: -rng.random((n, 2)) @ rng.random((2, m))}[kind]()
     res = exact_ot(w, wp, C)
     assert validate_coupling(res.coupling.plan, w, wp, 1e-9)
+    assert np.count_nonzero(res.plan) <= n + m - 1  # a vertex: at most a basis is nonzero
     assert res.certificate >= -1e-9
     plan, _, _ = _reference_lp(w, wp, C)
     full = float((C * plan).sum())

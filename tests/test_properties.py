@@ -81,9 +81,10 @@ def test_prepared_contraction_property_equals_contract_and_naive(shape, seed, lo
        uniform=st.booleans(), kind=st.sampled_from(["random", "constant", "1e8", "integer"]),
        seed=st.integers(0, 2**32 - 1))
 def test_exact_ot_property_feasible_and_below_other_plans(n, m, line, uniform, kind, seed):
-    """Feasible to 1e-9, and no dearer than the product coupling or a random
-    feasible plan, within 1e-12 relative, on generated shapes (one row or
-    column forced on a third of the draws), weights and degenerate costs."""
+    """Feasible to 1e-9, a vertex (at most n + m - 1 nonzeros), and no dearer
+    than the product coupling or a random feasible plan, within 1e-12
+    relative, on generated shapes (one row or column forced on a third of
+    the draws), weights and degenerate costs."""
     n, m = (1 if line == "row" else n), (1 if line == "col" else m)
     rng = np.random.default_rng(seed)
     w, wp = ((uniform_histogram(n), uniform_histogram(m)) if uniform
@@ -94,6 +95,7 @@ def test_exact_ot_property_feasible_and_below_other_plans(n, m, line, uniform, k
          "integer": lambda: rng.integers(0, 3, (n, m)).astype(float)}[kind]()
     res = exact_ot(w, wp, C)
     assert validate_coupling(res.coupling.plan, w, wp, 1e-9)
+    assert np.count_nonzero(res.plan) <= n + m - 1  # a vertex: at most a basis is nonzero
     for other in (np.outer(w, wp), random_coupling(w, wp, rng)):
         bound = float((C * other).sum())
         assert res.cost <= bound + 1e-12 * abs(bound)

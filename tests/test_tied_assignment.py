@@ -12,8 +12,9 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from coopt import (
     CootProblem,
+    DomainError,
+    coot,
     exact_ot,
-    ot,
     solve_coot,
     solve_gw_dc,
     sqeuclid_matrix,
@@ -35,14 +36,14 @@ def test_assignment_plan_is_feasible_and_optimal(n, m, seed, kind):
     cost is the cold LP's within 1e-12 relative, on random, integer-tied,
     constant and 1e8-scale costs. An empty current plan never repeats a
     support, so every draw takes the assignment path."""
-    assume(n != m and lcm(n, m) <= ot._ASSIGNMENT_LCM)
+    assume(n != m and lcm(n, m) <= coot._ASSIGNMENT_LCM)
     rng = np.random.default_rng(seed)
     C = {"random": lambda: rng.random((n, m)),
          "ties": lambda: rng.integers(0, 3, (n, m)).astype(float),
          "constant": lambda: np.full((n, m), 2.5),
          "large": lambda: 1e8 * rng.random((n, m))}[kind]()
     w, wp = uniform_histogram(n), uniform_histogram(m)
-    res = exact_ot(w, wp, C, None, np.zeros((n, m)))
+    res = coot._inner_ot(w, wp, C, None, np.zeros((n, m)))
     assert res.kind == "assignment" and res.converged and res.potentials is None
     assert validate_coupling(res.plan, w, wp, 1e-9)
     cold = exact_ot(w, wp, C)
@@ -55,22 +56,32 @@ def test_assignment_path_declines_outside_its_case():
     assignment repeats the current support, are solved by the LP (or the
     Hungarian algorithm), bitwise as without a current plan."""
     rng = np.random.default_rng(3)
-    big = ot._ASSIGNMENT_LCM + 1
+    big = coot._ASSIGNMENT_LCM + 1
     cases = [(uniform_histogram(6), uniform_histogram(6)),
              (uniform_histogram(6), np.array([0.5, 0.3, 0.2])),
              (uniform_histogram(big), uniform_histogram(2))]
     for w, wp in cases:
         C = rng.random((w.size, wp.size))
-        got = exact_ot(w, wp, C, None, np.zeros(C.shape))
+        got = coot._inner_ot(w, wp, C, None, np.zeros(C.shape))
         want = exact_ot(w, wp, C)
         assert got.kind == want.kind != "assignment"
         assert np.array_equal(_bits(got.plan), _bits(want.plan))
     w, wp = uniform_histogram(6), uniform_histogram(4)
     C = rng.random((6, 4))
-    moved = exact_ot(w, wp, C, None, np.zeros((6, 4)))
-    repeated = exact_ot(w, wp, C, None, moved.plan)
+    moved = coot._inner_ot(w, wp, C, None, np.zeros((6, 4)))
+    repeated = coot._inner_ot(w, wp, C, None, moved.plan)
     assert moved.kind == "assignment" and repeated.kind == "lp"
     assert np.array_equal(_bits(repeated.plan), _bits(exact_ot(w, wp, C).plan))
+
+
+def test_a_non_finite_tied_cost_is_a_domain_error():
+    """On 1e80-scale clouds the squared GW cost overflows; the first step,
+    an assignment step, rejects it as any exact solve does."""
+    rng = np.random.default_rng(0)
+    C, C2 = sqeuclid_matrix(1e80 * rng.random((6, 2))), sqeuclid_matrix(1e80 * rng.random((4, 2)))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(DomainError, match="cost: entries must be finite"):
+        solve_gw_dc(C, C2)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -87,7 +98,7 @@ def test_gw_results_do_not_depend_on_the_assignment_path(n, m, seed):
     C, C2 = sqeuclid_matrix(rng.random((n, 2))), sqeuclid_matrix(rng.random((m, 2)))
     got = solve_gw_dc(C, C2, restarts=3, seed=seed)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ot, "_assignment", lambda w, wp, C: None)
+        mp.setattr(coot, "_assignment", lambda w, wp, C: None)
         want = solve_gw_dc(C, C2, restarts=3, seed=seed)
     assert np.array_equal(_bits(got.coupling.plan), _bits(want.coupling.plan))
     assert (got.cost, got.iterations, got.converged, got.restart_index) == \
