@@ -136,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=None)
     p.add_argument("-g", type=int, default=None)
     p.add_argument("-m", type=int, default=None)
-    p.add_argument("--separation", type=float, default=4.0)
+    p.add_argument("--separation", type=float, default=None, help="default 4.0")
     p.add_argument("--unequal", action="store_true", help="ramped cluster proportions")
     p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--out", type=Path, default=Path("."))
@@ -289,11 +289,11 @@ def cmd_election(args) -> dict:
 def cmd_gen(args) -> dict:
     required = {"--n": args.n, "--d": args.d, "-g": args.g, "-m": args.m}
     if args.preset is not None:
-        given = [k for k, val in required.items() if val is not None]
-        given += ["--unequal"] if args.unequal else []
+        sized = {**required, "--separation": args.separation, "--unequal": args.unequal or None}
+        given = [k for k, val in sized.items() if val is not None]
         if given:
-            raise DomainError(f"gen --preset {args.preset} sets the sizes and proportions; "
-                              f"drop {given}")
+            raise DomainError(f"gen --preset {args.preset} sets the sizes, proportions and "
+                              f"separation; drop {given}")
         config = apps.BLOCK_PRESETS[args.preset]
     else:
         missing = [k for k, val in required.items() if val is None]
@@ -301,8 +301,8 @@ def cmd_gen(args) -> dict:
             raise DomainError(f"gen needs --preset or all of {sorted(required)}; "
                               f"missing {missing}")
         make = apps.ramped_proportions if args.unequal else apps.equal_proportions
-        config = apps.BlockConfig(args.n, args.d, args.g, args.m,
-                                  make(args.g), make(args.m), args.separation)
+        config = apps.BlockConfig(args.n, args.d, args.g, args.m, make(args.g), make(args.m),
+                                  4.0 if args.separation is None else args.separation)
     X, rows, cols = apps.generate_blocks(config, args.seed)
     return {"cost": None, "iterations": 0, "converged": True,
             "files": [("X", X), ("rows", rows), ("cols", cols)]}

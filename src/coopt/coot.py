@@ -17,10 +17,10 @@ side's Kantorovich potentials list its next shortlist LP's first cells.
 
 The problem is a non-convex bilinear program; alternation converges to a
 partial optimum that depends on the starting point. Starts, in order: the
-product coupling; in the tied case with equal sides, an identity-biased plan;
-then seeded heavy-tailed perturbations of the product coupling projected
-back onto the polytope. The best restart (lowest cost, then lowest restart
-index) is returned.
+product couplings; in the tied case with equal sides, an identity-biased plan;
+then seeded heavy-tailed perturbations of the product sample coupling,
+projected back onto the polytope, each with the product feature coupling. The
+best restart (lowest cost, then lowest restart index) is returned.
 
 The restarts are cut into shares (see :func:`_best_restart`), and each share
 advances in lockstep, as one ``(R, ...)`` stack: each half-step contracts
@@ -230,25 +230,20 @@ def _scale_to_marginals(plans: np.ndarray, w: np.ndarray, wp: np.ndarray) -> np.
 
 def _starts(problem: CootProblem, restarts: int, seed: int, tied: bool) -> list:
     """Start couplings in restart order (see :func:`_best_restart`), None for
-    the product coupling. The noise is drawn in the order of one
-    :func:`random_coupling` per plan, sample side first, and each side's
-    plans are projected in one stack."""
-    w, wp, v, vp = problem.w, problem.wp, problem.v, problem.vp
+    the product couplings. Only the sample plans are seeded, drawn as
+    :func:`random_coupling` draws them and projected in one stack: the first
+    half-step solves the feature side from them, so an untied start's feature
+    coupling is the product, one array shared by every start."""
+    w, wp = problem.w, problem.wp
     biased = int(tied and w.size == wp.size and restarts > 1)
-    seeded = restarts - 1 - biased
-    sample = np.empty((biased + seeded, w.size, wp.size))
-    feature = np.empty((0 if tied else seeded, v.size, vp.size))
+    sample = np.empty((restarts - 1, w.size, wp.size))
     if biased:
         sample[0] = np.eye(w.size) * w.size + 1.0
-    for r in range(1, seeded + 1):
-        rng = np.random.default_rng([seed, r])
-        sample[biased + r - 1] = _perturbed(w, wp, rng)
-        if not tied:
-            feature[r - 1] = _perturbed(v, vp, rng)
+    for r in range(1, restarts - biased):
+        sample[biased + r - 1] = _perturbed(w, wp, np.random.default_rng([seed, r]))
     _scale_to_marginals(sample, w, wp)
-    _scale_to_marginals(feature, v, vp)
-    pairs = [(ps, ps) for ps in sample] if tied else list(zip(sample, feature))
-    return [None] + pairs
+    product = np.outer(problem.v, problem.vp)
+    return [None] + [(ps, ps if tied else product) for ps in sample]
 
 
 _REUSE_RTOL = 2.0**-40
@@ -458,9 +453,9 @@ def _solve_single(problem: CootProblem,
 def _best_restart(problem: CootProblem, restarts: int, seed: int,
                   jobs: int = 1, tied: bool = False) -> CootSolution:
     """Best of ``restarts`` solves: lowest cost, ties to the lowest restart
-    index, independent of ``jobs``. Starts, in order: the product coupling;
+    index, independent of ``jobs``. Starts, in order: the product couplings;
     if ``tied`` with equal sides and ``restarts > 1``, an identity-biased
-    plan; then :func:`random_coupling` seeded ``(seed, r)``, r = 1, 2, ...
+    plan; then the seeded starts of :func:`_starts`, r = 1, 2, ...
 
     The restarts are cut into shares, contiguous slices of the starts, and
     each share is one lockstep stack (:func:`_solve_stack`). At ``jobs ==
@@ -501,8 +496,11 @@ def solve_coot(
 ) -> CootSolution:
     """Alternating minimization for the co-optimal transport problem.
 
-    Restart 0 starts from the product couplings; restart ``r >= 1`` starts
-    from :func:`random_coupling` seeded with ``(seed, r)``. The returned
+    Restart 0 starts from the product couplings; restart ``r >= 1`` from
+    :func:`random_coupling` seeded ``(seed, r)`` on the sample side and the
+    product on the feature side, so its ``objective_trace[0]`` is priced
+    there, and it stops at iteration 1 if its first feature plan is within
+    ``tol`` of the product. The returned
     solution is the lowest-cost restart, ties broken by lowest restart index,
     independent of ``jobs``: with ``jobs=1`` all restarts run as one lockstep
     stack; with more, ``jobs`` threads each run a share of the restarts as a

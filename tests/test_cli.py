@@ -532,6 +532,8 @@ def test_gen_with_a_preset_rejects_size_flags(tmp_path, capsys):
     assert run(["gen", "--preset", "D3", "--d", "4", "-g", "2", "-m", "2", "--unequal",
                 "--seed", "0", "--out", out]) == 3
     assert "drop ['--d', '-g', '-m', '--unequal']" in capsys.readouterr().err
+    assert run(["gen", "--preset", "D3", "--separation", "9", "--seed", "0", "--out", out]) == 3
+    assert "drop ['--separation']" in capsys.readouterr().err
     assert not out.exists()
 
 

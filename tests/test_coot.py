@@ -316,10 +316,26 @@ def test_batched_starts_equal_one_random_coupling_per_plan(shape, shape2, weight
         ref = np.random.default_rng([seed, r])
         ref_s = _reference_random(problem.w, problem.wp, ref)
         ref_v = _reference_random(problem.v, problem.vp, ref)
-        assert _bits(ps) == _bits(ref_s) and _bits(pv) == _bits(ref_v)
+        assert _bits(ps) == _bits(ref_s) and _bits(pv) == _bits(np.outer(problem.v, problem.vp))
         one = np.random.default_rng([seed, r])
         assert _bits(random_coupling(problem.w, problem.wp, one)) == _bits(ref_s)
         assert _bits(random_coupling(problem.v, problem.vp, one)) == _bits(ref_v)
+
+
+@pytest.mark.parametrize("loss", [SQUARED_EUCLIDEAN, ABSOLUTE])
+@pytest.mark.parametrize("eps", [0.0, 0.05])
+def test_seeded_restart_trace_starts_at_its_sample_start_and_the_product(loss, eps):
+    """A seeded untied restart starts its feature side at the product, so
+    ``objective_trace[0]`` is the objective at (its sample start, the
+    product)."""
+    rng = np.random.default_rng(17)
+    X, X2 = rng.random((7, 5)), rng.random((6, 4))
+    problem = CootProblem(X, X2, loss=loss, eps_samples=eps, eps_features=eps)
+    starts = coot._starts(problem, 4, 9, tied=False)
+    product = np.outer(problem.v, problem.vp)
+    for (ps, _), sol in zip(starts[1:], coot._solve_stack(problem, starts)[1:]):
+        objective = coot_objective(X, X2, ps, product, loss)
+        assert abs(sol.objective_trace[0] - objective) <= 1e-12 * abs(objective)
 
 
 @pytest.mark.parametrize("n, n2", [(6, 6), (1, 1), (5, 3)])

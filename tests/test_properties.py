@@ -203,6 +203,29 @@ def test_converged_solve_property_returns_feasible_couplings(shape, eps, weighte
             assert coupling.marginal_error() <= tol
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(shape=st.tuples(*[st.integers(1, 8)] * 4), loss_name=st.sampled_from(["sq", "abs"]),
+       scale_exp=st.floats(-2, 3), seed=st.integers(0, 2**32 - 1))
+def test_converged_exact_solve_property_is_a_partial_optimum(shape, loss_name, scale_exp, seed):
+    """A converged exact solve is block-coordinate stationary: each returned
+    coupling costs, against the cost contracted with the other returned
+    coupling, no more than an exact best response to that cost, up to the LP
+    certificate's ``1e-9 max|C|``."""
+    n, d, n2, d2 = shape
+    rng = np.random.default_rng(seed)
+    scale = 10.0**scale_exp
+    X, X2 = scale * rng.random((n, d)), scale * rng.random((n2, d2))
+    loss = LOSSES[loss_name]
+    sol = solve_coot(CootProblem(X, X2, loss=loss), restarts=3, seed=seed)
+    if not sol.converged:
+        return
+    ps, pv = sol.sample_coupling, sol.feature_coupling
+    for mine, other, side in ((pv, ps, Side.FEATURE), (ps, pv, Side.SAMPLE)):
+        C = contract(X, X2, other.plan, loss, side)
+        best = exact_ot(mine.row_marginal, mine.col_marginal, C)
+        assert float((C * mine.plan).sum()) <= best.cost + 1e-9 * np.abs(C).max()
+
+
 # (loss, eps) of the swap and permutation properties; exact absolute-loss
 # solves fail them and are pinned by the xfail test that follows
 _REORIENTED_CASES = [("sq", 0.0), ("sq", 0.05), ("abs", 0.05)]
