@@ -10,6 +10,8 @@ size; tolerance checks against stabilized Sinkhorn cover the entropic body.
 
 import json
 import threading
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from coopt import (
     one_hot_labels,
     sqeuclid_matrix,
 )
-from coopt import coot, ot
+from coopt import coot, ot, tensorcost
 from coopt.apps import class_mismatch_mask
 from coopt.cli import main
 from coopt.fileio import write_labels_csv, write_matrix_csv
@@ -339,3 +341,133 @@ def test_gw_cli_artifacts_equal_threaded_restarts(tmp_path, cli_inputs):
         write_matrix_csv(tmp_path / f"pi-{jobs}.csv", sol.sample_coupling.plan)
         assert (tmp_path / f"pi-{jobs}.csv").read_bytes() == files["pi.csv"]
         assert sol.cost == cost
+
+
+def _peak(solve) -> int:
+    """The tracemalloc peak of ``solve()``, in bytes."""
+    tracemalloc.start()
+    try:
+        solve()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _one_at_a_time(problem, restarts, seed):
+    """The restarts of an untied solve, one ``_solve_stack`` call each, every
+    start drawn alone (bitwise the start ``_starts`` draws)."""
+    for r in range(restarts):
+        init = None if r == 0 else (
+            coot.random_coupling(problem.w, problem.wp, np.random.default_rng([seed, r])),
+            np.outer(problem.v, problem.vp))
+        coot._solve_stack(problem, [init], False, r)
+
+
+def _memory_case(name):
+    """(problem, restarts, jobs) for a memory guard."""
+    rng = np.random.default_rng([72, int(name == "hda")])
+    if name == "hda":
+        # the `hda` command's shape: 40 samples of 10 features on each side,
+        # four classes, five target labels known, masked exact, 20 restarts
+        ys = np.repeat(np.arange(4), 10)
+        Xs = rng.normal(0.0, 3.0, (4, 10))[ys] + rng.normal(size=(40, 10))
+        perm = rng.permutation(40)
+        known = np.full(40, -1)
+        known[:5] = ys[perm][:5]
+        mask = class_mismatch_mask(one_hot_labels(ys, 4), one_hot_labels(known, 4))
+        return CootProblem(Xs, Xs[perm][:, rng.permutation(10)], sample_cost_mask=mask), 20, 1
+    return CootProblem(rng.random((24, 6)), rng.random((18, 5))), 16, 2
+
+
+# Measured ratios, lockstep peak over the largest one-at-a-time peak: hda 15.1-15.2
+# before the contraction built its result in place and the exact side solved and
+# wrote back one restart at a time, 8.7-8.8 after; exact at jobs=2 3.9-4.0 while
+# the start list was kept for the whole solve, 2.8-2.9 after
+MEMORY_BOUNDS = {"hda": 10.5, "exact-jobs2": 3.3}
+
+
+@pytest.mark.parametrize("name", MEMORY_BOUNDS)
+def test_lockstep_memory_stays_near_one_restart_at_a_time(name):
+    """Lockstep keeps one contraction stack plus each restart's previous cost
+    and plan live, and no stack of starts: its tracemalloc peak stays within
+    a bound of the same restarts solved one ``_solve_stack`` call at a time.
+    Both are run once first, so that no cache is first filled while traced."""
+    problem, restarts, jobs = _memory_case(name)
+    lockstep = lambda: coot._best_restart(problem, restarts, 0, jobs=jobs)  # noqa: E731
+    alone = lambda: _one_at_a_time(problem, restarts, 0)  # noqa: E731
+    lockstep()
+    alone()
+    assert _peak(lockstep) <= MEMORY_BOUNDS[name] * _peak(alone)
+
+
+def test_starts_are_freed_once_copied(monkeypatch):
+    """``_best_restart`` keeps no reference to the starts it draws: by the
+    first inner solve, the stack they were drawn in is gone."""
+    problem, restarts, _ = _memory_case("exact-jobs2")
+    drawn, alive = [], []
+    starts, inner = coot._starts, coot._inner_ot
+
+    def record(*args):
+        out = starts(*args)
+        drawn.extend(weakref.ref(init[0].base) for init in out if init is not None)
+        return out
+
+    def count(*args):
+        alive.append(sum(ref() is not None for ref in drawn))
+        return inner(*args)
+
+    monkeypatch.setattr(coot, "_starts", record)
+    monkeypatch.setattr(coot, "_inner_ot", count)
+    coot._best_restart(problem, restarts, 0)
+    assert drawn and alive and max(alive) == 0
+
+
+def _constant_minus_product(factors, pi):
+    """The contraction as one constant stack minus the product term."""
+    f1, f2, h1, h2 = factors
+    const = (f1 @ pi.sum(axis=2)[:, :, None]) + (f2 @ pi.sum(axis=1)[:, :, None]).transpose(0, 2, 1)
+    return const - tensorcost._h_term(h1, pi, h2.T)
+
+
+@pytest.mark.parametrize("chunk", [1, 100, None, 10**9])
+@pytest.mark.parametrize("shapes", [((8, 8), (8, 8)), ((48, 48), (48, 48)),
+                                    ((30, 20), (25, 15)), ((7, 60), (5, 50))])
+def test_factored_contraction_equals_one_constant_stack(shapes, chunk, monkeypatch):
+    """``_factored`` forms the constant term a few plans at a time and
+    subtracts the product from it in place; every slice is bitwise the
+    constant stack minus the product, on both sides, for stacks of 1, 7 and
+    20 plans and any chunk size (None: the default)."""
+    if chunk is not None:
+        monkeypatch.setattr(tensorcost, "_CONSTANT_CHUNK", chunk)
+    rng = np.random.default_rng([73, *shapes[0], *shapes[1]])
+    X, X2 = rng.random(shapes[0]), rng.random(shapes[1])
+    factors = tensorcost._factors(X, X2, SQUARED_EUCLIDEAN)
+    for side in Side:
+        oriented = tensorcost._oriented(side, *factors)
+        p, q = oriented[2].shape[1], oriented[3].shape[1]
+        for restarts in (1, 7, 20):
+            pi = rng.random((restarts, p, q))
+            got = tensorcost._factored(oriented, pi)
+            assert _bits(got) == _bits(_constant_minus_product(oriented, pi)), (side, restarts)
+
+
+@pytest.mark.parametrize("penalty", [None, 5.0])
+def test_masking_one_cost_equals_its_slice_of_the_masked_stack(penalty):
+    """The exact side masks each restart's cost alone; that is bitwise its
+    slice of the stack masked at once, with the auto penalty (1e3 times the
+    cost's max, or 1.0 when the max is <= 0: an all-zero and a negative cost
+    are in the stack) and with an explicit one."""
+    rng = np.random.default_rng(74)
+    mask = _mask(9, 7, 3, 4)
+    problem = CootProblem(rng.random((9, 3)), rng.random((7, 2)), sample_cost_mask=mask,
+                          mask_penalty=penalty)
+    costs = rng.random((6, 9, 7)) * 10.0 ** rng.integers(-3, 4, (6, 1, 1))
+    costs[2] = 0.0
+    costs[4] = -costs[4]
+    if penalty is None:
+        top = costs.max(axis=(1, 2))
+        penalty = np.where(top > 0, 1e3 * top, 1.0)[:, None, None]
+    stacked = costs + penalty * mask
+    assert _bits(coot._masked(costs, problem)) == _bits(stacked)
+    for cost, expected in zip(costs, stacked):
+        assert _bits(coot._masked(cost, problem)) == _bits(expected)
